@@ -119,9 +119,8 @@ GcPoint runGcPause(unsigned Threads, double Scale) {
       memsim::MemoryTechnology{}, memsim::CacheConfig{});
   auto H = std::make_unique<Heap>(HC, *Mem);
   gc::AccessMonitor Monitor;
-  gc::Collector C(*H, gc::PolicyKind::Panthera, &Monitor);
   support::WorkStealingPool Pool(Threads);
-  C.setThreadPool(&Pool);
+  gc::Collector C(*H, gc::PolicyKind::Panthera, &Monitor, Pool);
 
   const auto Live = static_cast<uint32_t>(8192 * Scale);
   constexpr int Rounds = 8;

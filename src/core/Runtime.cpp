@@ -45,12 +45,10 @@ Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
   Mem = std::make_unique<memsim::HybridMemory>(TotalBytes, Config.Technology,
                                                Config.Cache, Config.EpochNs,
                                                &Metrics);
-  Mem->setAccessPath(Config.AccessPath);
   TheHeap = std::make_unique<heap::Heap>(HC, *Mem);
   TheHeap->setTelemetry(&Metrics, &Trace);
-  TheCollector =
-      std::make_unique<gc::Collector>(*TheHeap, Config.Policy, &Monitor);
-  TheCollector->setThreadPool(Pool.get());
+  TheCollector = std::make_unique<gc::Collector>(*TheHeap, Config.Policy,
+                                                 &Monitor, *Pool);
   TheCollector->setTelemetry(&Metrics, &Trace);
 
   // Online hotness profiling + between-GC migration (--policy=dynamic,
@@ -96,19 +94,11 @@ Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
 
   rdd::EngineConfig EC = Config.Engine;
   EC.UseStaticTags = gc::usesStaticTags(Config.Policy);
-  Context = std::make_unique<rdd::SparkContext>(*TheHeap, &Monitor, EC);
-  Context->setThreadPool(Pool.get());
+  Context =
+      std::make_unique<rdd::SparkContext>(*TheHeap, &Monitor, EC, *Pool);
   Context->setTelemetry(&Metrics, &Trace);
-
-  // Off-heap serialized cache tier (docs/offheap.md). At OffHeapMB == 0 no
-  // tier exists: OFF_HEAP persists run the seed NativeParts path and the
-  // exports (metrics key set included) stay byte-identical.
-  if (Config.OffHeapMB > 0) {
-    OffHeapTier = std::make_unique<offheap::OffHeapCache>(
-        *TheHeap, static_cast<uint64_t>(Config.OffHeapMB) * PaperMB,
-        &Metrics, &Trace);
-    Context->setOffHeapCache(OffHeapTier.get());
-  }
+  Context->setOffHeapBudget(static_cast<uint64_t>(Config.OffHeapMB) *
+                            PaperMB);
 
   if (Config.Cluster.NumExecutors > 1) {
     // Carve the paper heap and native region evenly across the executors;
@@ -129,7 +119,6 @@ Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
     CC.ExecutorHeap.NativeBytes = std::max<uint64_t>(PerExecNative, PaperGB);
     CC.Technology = Config.Technology;
     CC.Cache = Config.Cache;
-    CC.AccessPath = Config.AccessPath;
     CC.EpochNs = Config.EpochNs;
     CC.DiskNsPerRecord = Config.Engine.DiskRecordCpuNs;
     TheCluster = std::make_unique<cluster::Cluster>(CC, *Mem, &Trace);
@@ -278,10 +267,10 @@ void Runtime::publishMetrics() {
     C("memsim.migration.pages_restored", MigS.PagesRestored);
   }
 
-  // Off-heap tier totals (only with --offheap-mb > 0: the tier-less
-  // configuration must export the exact seed key set).
-  if (OffHeapTier)
-    OffHeapTier->publishMetrics(Metrics);
+  // Off-heap tier totals (only once an OFF_HEAP persist built the tier:
+  // a run without one exports the exact seed key set).
+  if (offheap::OffHeapCache *OC = Context->offHeapCache())
+    OC->publishMetrics(Metrics);
 
   // Cluster totals (only in cluster runs: --executors=1 must export the
   // exact seed key set).

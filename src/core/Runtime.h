@@ -62,11 +62,6 @@ struct RuntimeConfig {
   memsim::MemoryTechnology Technology;
   memsim::CacheConfig Cache;
   memsim::EnergyParams Energy;
-  /// Memory-simulator access implementation (--memsim-path). Batched is
-  /// the production fast path; PerLine is the reference loop kept for the
-  /// bit-identity diff. Applied to the driver's and every executor's
-  /// simulated memory.
-  memsim::AccessPathMode AccessPath = memsim::AccessPathMode::Batched;
   /// Fig 8 bandwidth-trace bucket, in simulated nanoseconds.
   double EpochNs = 100.0e3;
   /// GC tuning overrides (ablations flip these).
@@ -77,11 +72,11 @@ struct RuntimeConfig {
   /// Off-heap native region, paper GB.
   unsigned NativePaperGB = 16;
   /// Off-heap serialized cache tier budget (--offheap-mb), in paper MB,
-  /// carved out of the native region (docs/offheap.md). 0 (the default)
-  /// constructs no tier at all: OFF_HEAP persists run the seed
-  /// NativeParts path and the run is byte-identical, including the
-  /// metrics-JSON key set.
-  unsigned OffHeapMB = 0;
+  /// carved out of the native region by the first OFF_HEAP persist
+  /// (docs/offheap.md). The default claims the whole default native
+  /// region; partitions beyond the budget spill to executor disk, so 0
+  /// spills every OFF_HEAP partition.
+  unsigned OffHeapMB = 16384;
   /// Deterministic fault-injection plan (all sites disabled by default).
   FaultPlan Faults;
   /// Verify the heap after every recovery path: emergency GC, pressure
@@ -163,8 +158,8 @@ public:
   support::WorkStealingPool &pool() { return *Pool; }
   /// Nonnull only when Config.Cluster.NumExecutors > 1.
   cluster::Cluster *clusterSim() { return TheCluster.get(); }
-  /// Nonnull only when Config.OffHeapMB > 0.
-  offheap::OffHeapCache *offHeapCache() { return OffHeapTier.get(); }
+  /// Nonnull once an OFF_HEAP persist has materialized.
+  offheap::OffHeapCache *offHeapCache() { return Context->offHeapCache(); }
 
   /// Parses \p DslSource, runs the §3 inference (plus any enabled
   /// extensions), and installs the result on the engine (only Panthera
@@ -220,8 +215,6 @@ private:
   std::unique_ptr<gc::Collector> TheCollector;
   std::unique_ptr<rdd::SparkContext> Context;
   std::unique_ptr<cluster::Cluster> TheCluster;
-  /// Off-heap serialized cache tier; non-null only when OffHeapMB > 0.
-  std::unique_ptr<offheap::OffHeapCache> OffHeapTier;
   std::unique_ptr<FaultInjector> Injector;
   /// Online profiler + migration engine; non-null only for the dynamic
   /// policy with sampling on. Profiling covers the driver heap: executor

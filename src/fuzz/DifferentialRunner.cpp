@@ -60,11 +60,8 @@ public:
                                     Setup.Config.NativeBytes),
         memsim::MemoryTechnology{}, memsim::CacheConfig{});
     H = std::make_unique<Heap>(Setup.Config, *Mem);
-    C = std::make_unique<gc::Collector>(*H, Setup.Policy, nullptr);
-    if (Opts.Threads >= 1) {
-      Pool = std::make_unique<support::WorkStealingPool>(Opts.Threads);
-      C->setThreadPool(Pool.get());
-    }
+    Pool = std::make_unique<support::WorkStealingPool>(Opts.Threads);
+    C = std::make_unique<gc::Collector>(*H, Setup.Policy, nullptr, *Pool);
     FaultPlan Plan;
     Plan.Seed = Opts.Seed;
     bool WantFaults = false;
@@ -838,8 +835,8 @@ private:
   FuzzSetup Setup;
   std::unique_ptr<memsim::HybridMemory> Mem;
   std::unique_ptr<Heap> H;
-  std::unique_ptr<gc::Collector> C;
   std::unique_ptr<support::WorkStealingPool> Pool;
+  std::unique_ptr<gc::Collector> C;
   std::unique_ptr<FaultInjector> Faults;
 
   ShadowHeap Shadow;
@@ -870,6 +867,14 @@ private:
 
 FuzzResult panthera::fuzz::runSchedule(const FuzzOptions &Opts,
                                        const std::vector<FuzzAction> &S) {
+  if (Opts.Threads == 0) {
+    FuzzResult Bad;
+    Bad.Ok = false;
+    Bad.Problem = "Threads must be >= 1: the collector always runs on a "
+                  "work-stealing pool";
+    Bad.FailingAction = 0;
+    return Bad;
+  }
   FuzzResult First = Runner(Opts, S).run();
   // Cluster mode: replay the schedule on each additional executor heap and
   // require a bit-identical heap image. Divergence here means per-executor

@@ -29,9 +29,9 @@ struct FuzzOptions {
   uint64_t Seed = 1;
   size_t NumOps = 512;
   FuzzConfigKind Config = FuzzConfigKind::Split;
-  /// GC worker count. >= 1 installs a work-stealing pool (the parallel
-  /// scavenge/mark paths, bit-identical at every count); 0 runs the
-  /// serial collector paths instead.
+  /// GC worker count of the collector's work-stealing pool, >= 1 (the
+  /// scavenge and mark are bit-identical at every count). 0 is rejected:
+  /// runDifferential and runSchedule return a failed result unrun.
   unsigned Threads = 1;
   /// Executor heaps driven from the one schedule (docs/cluster.md). With
   /// N > 1 the schedule replays against N independent heap + oracle

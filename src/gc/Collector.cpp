@@ -34,8 +34,9 @@ using heap::Space;
   std::abort();
 }
 
-Collector::Collector(heap::Heap &H, PolicyKind Policy, AccessMonitor *Monitor)
-    : H(H), Policy(Policy), Monitor(Monitor) {
+Collector::Collector(heap::Heap &H, PolicyKind Policy, AccessMonitor *Monitor,
+                     support::WorkStealingPool &Pool)
+    : H(H), Policy(Policy), Monitor(Monitor), Pool(Pool) {
   H.setGcHost(this);
 }
 
@@ -125,226 +126,6 @@ void Collector::emitTelemetry(const GcEvent &Event) {
 // Minor GC
 //===----------------------------------------------------------------------===
 
-bool Collector::inCollectedYoung(uint64_t Addr) const {
-  const heap::Heap &CH = H;
-  return const_cast<heap::Heap &>(CH).eden().contains(Addr) ||
-         const_cast<heap::Heap &>(CH).fromSpace().contains(Addr);
-}
-
-ObjRef Collector::evacuate(ObjRef Ref, MemTag IncomingTag) {
-  uint64_t Addr = Ref.addr();
-  ObjectHeader *Hdr = H.header(Addr);
-  if (Hdr->isForwarded()) {
-    // A later reference may still carry a stronger (DRAM) tag; keep it on
-    // the copy so the next major GC can correct the placement.
-    ObjectHeader *NewHdr = H.header(Hdr->Forward);
-    NewHdr->setMemTag(mergeTags(NewHdr->memTag(), IncomingTag));
-    return ObjRef(Hdr->Forward);
-  }
-
-  MemTag Tag = mergeTags(Hdr->memTag(), IncomingTag);
-  uint32_t Size = Hdr->SizeBytes;
-  // Any card-spanning reference array can create the §4.2.3 shared-card
-  // pathology, so padding applies to all of them on promotion ("card
-  // sharing among arrays is completely eliminated").
-  bool IsRddArray = Hdr->kind() == ObjectKind::RefArray &&
-                    Size >= CardTable::CardBytes;
-  const heap::GcTuning &T = H.config().Tuning;
-
-  uint64_t NewAddr = 0;
-  bool Promoted = false;
-  bool TagPromote =
-      Tag != MemTag::None && T.EagerPromotion && H.hasSplitOldGen();
-  // Widen before the +1: at Age == 255 a uint8 increment wraps to 0 and
-  // resets the tenuring clock, so a saturated age must stay tenure-eligible.
-  bool AgePromote = static_cast<uint32_t>(Hdr->Age) + 1 >= T.TenureAge;
-  if (TagPromote || AgePromote) {
-    MemTag PromoTag = Tag;
-    if (T.KwWriteMonitoring)
-      PromoTag =
-          Hdr->WriteCount >= T.KwHotWrites ? MemTag::Dram : MemTag::Nvm;
-    NewAddr = H.allocateInOld(Size, PromoTag, IsRddArray);
-    Promoted = NewAddr != 0;
-    if (TagPromote && Promoted)
-      ++Stats.EagerPromotions;
-  }
-  if (!NewAddr)
-    NewAddr = H.toSpace().allocate(Size);
-  if (!NewAddr) {
-    // Survivor overflow: tenure regardless of age.
-    NewAddr = H.allocateInOld(Size, Tag, IsRddArray);
-    Promoted = NewAddr != 0;
-  }
-  if (!NewAddr)
-    fatalGc("no space left for a surviving object during scavenge");
-
-  H.account(Addr, Size, /*IsWrite=*/false);
-  H.account(NewAddr, Size, /*IsWrite=*/true);
-  std::memcpy(H.rawBytes(NewAddr), H.rawBytes(Addr), Size);
-  ObjectHeader *NewHdr = H.header(NewAddr);
-  NewHdr->setMemTag(Tag);
-  NewHdr->Forward = 0;
-  NewHdr->Age = Promoted ? Hdr->Age
-                         : static_cast<uint8_t>(
-                               Hdr->Age == 255 ? 255 : Hdr->Age + 1);
-  Hdr->Forward = NewAddr;
-  if (Promoted)
-    Stats.BytesPromoted += Size;
-  else
-    Stats.BytesCopiedToSurvivor += Size;
-  Worklist.push_back(NewAddr);
-  return ObjRef(NewAddr);
-}
-
-void Collector::scanCopied(uint64_t Addr) {
-  ObjectHeader *Hdr = H.header(Addr);
-  MemTag Tag = Hdr->memTag();
-  bool ParentOld = H.isOld(Addr);
-  uint32_t N = Hdr->numRefSlots();
-  for (uint32_t I = 0; I != N; ++I) {
-    uint64_t SlotAddr = H.refSlotAddr(Addr, I);
-    H.account(SlotAddr, heap::RefSlotBytes, /*IsWrite=*/false);
-    ObjRef Child = H.rawLoadRef(Addr, I);
-    if (!Child)
-      continue;
-    if (inCollectedYoung(Child.addr())) {
-      ObjRef Moved = evacuate(Child, Tag);
-      H.rawStoreRef(Addr, I, Moved);
-      H.account(SlotAddr, heap::RefSlotBytes, /*IsWrite=*/true);
-      Child = Moved;
-    }
-    // A promoted object that still points into the young generation must
-    // be visible to the next minor GC's card scan.
-    if (ParentOld && H.isYoung(Child.addr()))
-      H.cardTable().dirtyCardFor(SlotAddr);
-  }
-}
-
-void Collector::drainWorklist() {
-  while (!Worklist.empty()) {
-    uint64_t Addr = Worklist.back();
-    Worklist.pop_back();
-    scanCopied(Addr);
-  }
-}
-
-/// Scans ref slots [SlotBegin, SlotEnd) of the object at \p Addr,
-/// evacuating young referents with the object's tag. Returns true when a
-/// young referent remains after scanning (card must stay dirty).
-static bool scanSlotRange(heap::Heap &H, Collector &C, uint64_t Addr,
-                          uint32_t SlotBegin, uint32_t SlotEnd,
-                          const std::function<ObjRef(ObjRef, MemTag)> &Evac) {
-  (void)C;
-  ObjectHeader *Hdr = H.header(Addr);
-  MemTag Tag = Hdr->memTag();
-  bool YoungRemains = false;
-  for (uint32_t I = SlotBegin; I != SlotEnd; ++I) {
-    uint64_t SlotAddr = H.refSlotAddr(Addr, I);
-    H.account(SlotAddr, heap::RefSlotBytes, /*IsWrite=*/false);
-    ObjRef Child = H.rawLoadRef(Addr, I);
-    if (!Child)
-      continue;
-    ObjRef Moved = Evac(Child, Tag);
-    if (Moved != Child) {
-      H.rawStoreRef(Addr, I, Moved);
-      H.account(SlotAddr, heap::RefSlotBytes, /*IsWrite=*/true);
-    }
-    if (H.isYoung(Moved.addr()))
-      YoungRemains = true;
-  }
-  return YoungRemains;
-}
-
-void Collector::scanCard(Space &S, size_t CardIdx) {
-  ++Stats.CardsScanned;
-  CardTable &Cards = H.cardTable();
-  uint64_t CardLo = Cards.cardStart(CardIdx);
-  uint64_t CardHi = CardLo + CardTable::CardBytes;
-
-  uint64_t First = H.firstObjectIntersectingCard(S, CardIdx);
-  if (!First) {
-    Cards.clean(CardIdx);
-    return;
-  }
-
-  // Collect the objects intersecting this card.
-  std::vector<uint64_t> Objs;
-  unsigned LargeArrays = 0;
-  for (uint64_t A = First; A < S.top() && A < CardHi;
-       A += H.header(A)->SizeBytes) {
-    Objs.push_back(A);
-    ObjectHeader *Hdr = H.header(A);
-    if (Hdr->kind() == ObjectKind::RefArray &&
-        Hdr->SizeBytes >= CardTable::CardBytes)
-      ++LargeArrays;
-  }
-
-  auto Evac = [this](ObjRef Child, MemTag Tag) {
-    if (inCollectedYoung(Child.addr()))
-      return evacuate(Child, Tag);
-    return Child;
-  };
-
-  if (LargeArrays >= 2) {
-    // §4.2.3 pathology: two large arrays share the card; neither GC thread
-    // can prove the card clean, so every element of each array is rescanned
-    // on every minor GC and the card stays dirty until a major GC.
-    ++Stats.SharedArrayCardScans;
-    for (uint64_t A : Objs)
-      scanSlotRange(H, *this, A, 0, H.header(A)->numRefSlots(), Evac);
-    return;
-  }
-
-  bool YoungRemains = false;
-  for (uint64_t A : Objs) {
-    ObjectHeader *Hdr = H.header(A);
-    uint32_t N = Hdr->numRefSlots();
-    uint64_t SlotsBase = A + sizeof(ObjectHeader);
-    // Clamp the scan to the slots whose addresses fall inside the card.
-    uint32_t Begin = 0;
-    if (CardLo > SlotsBase)
-      Begin = static_cast<uint32_t>(
-          (CardLo - SlotsBase + heap::RefSlotBytes - 1) /
-          heap::RefSlotBytes);
-    uint32_t End = N;
-    if (SlotsBase < CardHi) {
-      uint64_t Fit = (CardHi - SlotsBase + heap::RefSlotBytes - 1) /
-                     heap::RefSlotBytes;
-      End = static_cast<uint32_t>(std::min<uint64_t>(N, Fit));
-    } else {
-      End = 0;
-    }
-    if (Begin < End)
-      YoungRemains |= scanSlotRange(H, *this, A, Begin, End, Evac);
-  }
-  if (!YoungRemains) {
-    Cards.clean(CardIdx);
-    ++Stats.CardsCleaned;
-  }
-}
-
-void Collector::scanOldToYoungCards(GcEvent &Event) {
-  // The paper splits the old-to-young task into a DRAM-to-young and an
-  // NVM-to-young task; iterating the (up to two) old spaces separately is
-  // the sequential equivalent, and each task's cost is recorded.
-  CardTable &Cards = H.cardTable();
-  for (Space *S : H.oldSpaces()) {
-    if (S->usedBytes() == 0)
-      continue;
-    double Before = H.memory().gcTimeNs();
-    size_t FirstCard = Cards.cardIndex(S->base());
-    size_t LastCard = Cards.cardIndex(S->top() - 1);
-    for (size_t C = FirstCard; C <= LastCard; ++C)
-      if (Cards.isDirty(C))
-        scanCard(*S, C);
-    double Spent = H.memory().gcTimeNs() - Before;
-    if (H.hasSplitOldGen() && S == &H.oldDram())
-      Event.DramToYoungTaskNs += Spent;
-    else
-      Event.NvmToYoungTaskNs += Spent;
-  }
-}
-
 bool Collector::scavengeHeadroomOk() const {
   heap::Heap &MH = const_cast<heap::Heap &>(static_cast<const heap::Heap &>(H));
   // Worst case: every young byte survives and must land in to-space or be
@@ -384,29 +165,9 @@ void Collector::collectMinor(const char *Reason) {
   {
     memsim::ActorScope Scope(H.memory(), memsim::Actor::Gc);
     ++Stats.MinorGcs;
-    if (Pool) {
-      // Work-stealing scavenge: claim / plan / copy / fixup phases (see
-      // below). Same reachability and promotion rules; deterministic at
-      // every worker count.
-      scavengeParallel(Event);
-    } else {
-      Worklist.clear();
-
-      // Root task: stack handles and persisted-RDD roots. Top RDD objects
-      // with MEMORY_BITS set are promoted here (§4.2.2 root-task change).
-      double PhaseStart = H.memory().gcTimeNs();
-      H.forEachRoot([this](ObjRef &R) {
-        if (inCollectedYoung(R.addr()))
-          R = evacuate(R, MemTag::None);
-      });
-      Event.RootTaskNs = H.memory().gcTimeNs() - PhaseStart;
-
-      scanOldToYoungCards(Event);
-
-      PhaseStart = H.memory().gcTimeNs();
-      drainWorklist();
-      Event.DrainNs = H.memory().gcTimeNs() - PhaseStart;
-    }
+    // Work-stealing scavenge: claim / plan / copy / fixup phases (see
+    // below), deterministic at every worker count.
+    scavengeParallel(Event);
 
     // Young spaces: eden and from are now garbage; survivors sit in 'to'.
     uint64_t YoungLo = std::min(
@@ -457,19 +218,18 @@ void Collector::collectMinor(const char *Reason) {
 //===----------------------------------------------------------------------===
 // Parallel scavenge (docs/parallelism.md)
 //
-// The single-threaded scavenge above interleaves discovery, placement, and
-// copying, so its result depends on trace order. The parallel scavenge
-// splits the same work into four phases so that every order-dependent
-// decision is made serially and every order-free phase runs on the
-// work-stealing pool:
+// A copying scavenge that interleaves discovery, placement, and copying
+// depends on trace order. This scavenge splits the work into four phases
+// so that every order-dependent decision is made serially and every
+// order-free phase runs on the work-stealing pool:
 //
 //   1. discover (parallel): claim reachable young objects with a CAS on the
 //      header's forwarding word and compute the monotone MEMORY_BITS
 //      fixpoint; roots and dirty cards seed per-worker Chase-Lev deques.
 //   2. plan (serial): walk eden + from-space in address order and assign
-//      every claimed object its destination, replicating the serial
-//      promotion rules; old-generation placement goes through promotion
-//      buffers (PLABs) whose remainders are retired as dead fillers.
+//      every claimed object its destination under the tag/age promotion
+//      rules; old-generation placement goes through promotion buffers
+//      (PLABs) whose remainders are retired as dead fillers.
 //   3. copy (parallel): memcpy each object to its planned destination and
 //      rewrite its reference slots through the forwarding words.
 //   4. fixup (serial): rewrite roots and dirty-card slots, make the card
@@ -565,38 +325,12 @@ private:
     return S == &H.oldDram() ? TopDram : TopNvm;
   }
 
-  /// Heap::firstObjectIntersectingCard against a snapshotted allocation
-  /// frontier, so the discover and fixup phases see the identical object
-  /// population even though planning extends the old spaces in between.
-  uint64_t firstObjectIntersecting(Space &S, size_t CardIdx, uint64_t Top) {
-    CardTable &Cards = H.cardTable();
-    uint64_t CardLo = Cards.cardStart(CardIdx);
-    uint64_t CardHi = CardLo + CardTable::CardBytes;
-    if (CardLo >= Top)
-      return 0;
-    uint64_t Anchor = S.base();
-    size_t BaseCard = Cards.cardIndex(S.base());
-    for (size_t C = CardIdx; C > BaseCard;) {
-      --C;
-      uint64_t A = Cards.firstObjectInCard(C);
-      if (A != heap::CardTable::NoObject && A < Top) {
-        Anchor = A;
-        break;
-      }
-    }
-    uint64_t Addr = Anchor;
-    while (Addr < Top) {
-      uint32_t Size = H.header(Addr)->SizeBytes;
-      if (Addr + Size > CardLo)
-        return Addr < CardHi ? Addr : 0;
-      Addr += Size;
-    }
-    return 0;
-  }
-
-  /// Slot ranges a dirty card's scan covers, replicating scanCard's
-  /// clamping and the §4.2.3 shared-array full-rescan rule. Used by both
-  /// the parallel discover pass and the serial fixup pass.
+  /// Slot ranges a dirty card's scan covers: each intersecting object's
+  /// slots clamped to the card, or -- under the §4.2.3 shared-array rule --
+  /// every slot of every intersecting object. Computed against the
+  /// snapshotted old-space frontier, so the parallel discover pass and the
+  /// serial fixup pass see the identical object population even though
+  /// planning extends the old spaces in between.
   struct CardRange {
     uint64_t Addr;
     uint32_t Begin, End;
@@ -612,7 +346,7 @@ private:
     CardTable &Cards = H.cardTable();
     uint64_t CardLo = Cards.cardStart(CardIdx);
     uint64_t CardHi = CardLo + CardTable::CardBytes;
-    uint64_t First = firstObjectIntersecting(S, CardIdx, Top);
+    uint64_t First = H.firstObjectIntersectingCard(S, CardIdx, Top);
     if (!First)
       return R;
     R.HasObjects = true;
@@ -793,8 +527,8 @@ private:
     if (!Fits) {
       if (!refillPlab(P)) {
         // The space cannot supply a whole extent; fall back to a direct
-        // tail allocation so the scavenge keeps the headroom guarantee the
-        // serial check established.
+        // tail allocation so the scavenge keeps the guarantee that
+        // scavengeHeadroomOk established.
         uint64_t A = P.S->allocate(Size);
         if (A)
           H.cardTable().noteObjectStart(A);
@@ -864,8 +598,9 @@ private:
                           Size >= CardTable::CardBytes;
         bool TagPromote =
             Tag != MemTag::None && T.EagerPromotion && H.hasSplitOldGen();
-        // Same widening as the serial path: a saturated age (255) must not
-        // wrap to 0 and lose its tenure eligibility.
+        // Widen before the +1: at Age == 255 a uint8 increment wraps to 0
+        // and resets the tenuring clock, so a saturated age must stay
+        // tenure-eligible.
         bool AgePromote = static_cast<uint32_t>(Hdr->Age) + 1 >= T.TenureAge;
         uint64_t NewAddr = 0;
         bool Promoted = false;
@@ -932,8 +667,7 @@ private:
         }
         // Promoted objects still pointing into the young generation must
         // be visible to the next minor GC's card scan; the dirtying is
-        // deferred so it lands after the fixup phase's clean decisions,
-        // matching the serial scavenge's phase order.
+        // deferred so it lands after the fixup phase's clean decisions.
         if (ParentOld && H.isYoung(Child.addr()))
           DirtySlots[W].push_back(SlotAddr);
       }
@@ -986,8 +720,8 @@ private:
     }
 
     // Re-dirty the cards of promoted objects that still reference young
-    // survivors -- strictly after the clean decisions above, as in the
-    // serial scavenge where all dirtying happens during the drain.
+    // survivors -- strictly after the clean decisions above, which would
+    // otherwise clean a card a promoted object just dirtied.
     for (const std::vector<uint64_t> &V : DirtySlots)
       for (uint64_t SlotAddr : V)
         Cards.dirtyCardFor(SlotAddr);
@@ -1043,7 +777,7 @@ void ParallelScavenge::scanDirtyCard(const CardWork &C, unsigned W) {
 } // namespace
 
 void Collector::scavengeParallel(GcEvent &Event) {
-  ParallelScavenge PS(H, Stats, *Pool);
+  ParallelScavenge PS(H, Stats, Pool);
   PS.collect(Event);
 }
 
@@ -1093,39 +827,12 @@ void Collector::maybeTriggerMajor() {
 // Major GC
 //===----------------------------------------------------------------------===
 
-void Collector::markObject(uint64_t Addr, std::vector<uint64_t> &Stack) {
-  ObjectHeader *Hdr = H.header(Addr);
-  if (Hdr->isMarked())
-    return;
-  Hdr->setMarked(true);
-  Stack.push_back(Addr);
-}
-
-void Collector::markFromRoots() {
-  std::vector<uint64_t> Stack;
-  H.forEachRoot([this, &Stack](ObjRef &R) { markObject(R.addr(), Stack); });
-  while (!Stack.empty()) {
-    uint64_t Addr = Stack.back();
-    Stack.pop_back();
-    ObjectHeader *Hdr = H.header(Addr);
-    H.account(Addr, sizeof(ObjectHeader), /*IsWrite=*/false);
-    uint32_t N = Hdr->numRefSlots();
-    for (uint32_t I = 0; I != N; ++I) {
-      H.account(H.refSlotAddr(Addr, I), heap::RefSlotBytes,
-                /*IsWrite=*/false);
-      ObjRef Child = H.rawLoadRef(Addr, I);
-      if (Child)
-        markObject(Child.addr(), Stack);
-    }
-  }
-}
-
 void Collector::markParallelFromRoots() {
   // Work-stealing mark. Exactly one worker claims each object (an atomic
   // fetch_or of the mark bit), and the claimer scans it, so every header
   // and slot is tallied exactly once regardless of scheduling -- the
   // merged traffic counts, and hence MarkNs, are worker-count invariant.
-  unsigned Workers = Pool->numWorkers();
+  unsigned Workers = Pool.numWorkers();
   std::vector<std::unique_ptr<support::ChaseLevDeque<uint64_t>>> Deques;
   Deques.reserve(Workers);
   for (unsigned W = 0; W != Workers; ++W)
@@ -1158,7 +865,7 @@ void Collector::markParallelFromRoots() {
     }
   };
 
-  Pool->runOnWorkers([&](unsigned W) {
+  Pool.runOnWorkers([&](unsigned W) {
     for (size_t I = W; I < Roots.size(); I += Workers) {
       if (Claim(Roots[I]))
         Scan(Roots[I], W);
@@ -1690,10 +1397,7 @@ void Collector::collectMajor(const char *Reason) {
     double PhaseStart = H.memory().gcTimeNs();
     if (IncActive)
       finishIncrementalMark();
-    if (Pool)
-      markParallelFromRoots();
-    else
-      markFromRoots();
+    markParallelFromRoots();
     Event.MarkNs = H.memory().gcTimeNs() - PhaseStart;
     planMigrations();
     PhaseStart = H.memory().gcTimeNs();

@@ -102,7 +102,13 @@ struct GcStats {
 /// The generational collector. One instance per Heap.
 class Collector : public heap::GcHost {
 public:
-  Collector(heap::Heap &H, PolicyKind Policy, AccessMonitor *Monitor);
+  /// Every collection runs on \p Pool: the minor GC as the deterministic
+  /// work-stealing scavenge (docs/parallelism.md), the major GC's mark as
+  /// a work-stealing trace. Results and simulated time are invariant in
+  /// the pool's worker count, so a 1-worker pool is the sequential
+  /// configuration.
+  Collector(heap::Heap &H, PolicyKind Policy, AccessMonitor *Monitor,
+            support::WorkStealingPool &Pool);
   ~Collector() override;
 
   void collectMinor(const char *Reason) override;
@@ -123,13 +129,6 @@ public:
 
   const GcStats &stats() const { return Stats; }
   PolicyKind policy() const { return Policy; }
-
-  /// Installs the shared work-stealing pool. With a pool the minor GC runs
-  /// the deterministic parallel scavenge (docs/parallelism.md) and the
-  /// major GC marks in parallel; without one (unit tests constructing the
-  /// collector directly) the single-threaded paths are kept verbatim.
-  /// Results and simulated time are invariant in the pool's worker count.
-  void setThreadPool(support::WorkStealingPool *P) { Pool = P; }
 
   /// Installs the observability sinks (docs/observability.md). After every
   /// collection the collector publishes pause/phase histograms and
@@ -162,25 +161,15 @@ public:
 private:
   //===--- minor GC -------------------------------------------------------===
   bool scavengeHeadroomOk() const;
-  bool inCollectedYoung(uint64_t Addr) const;
-  heap::ObjRef evacuate(heap::ObjRef Ref, MemTag IncomingTag);
-  void scanCopied(uint64_t Addr);
-  void drainWorklist();
-  void scanOldToYoungCards(GcEvent &Event);
-  void scanCard(heap::Space &S, size_t CardIdx);
   void maybeTriggerMajor();
 
-  /// The work-stealing scavenge (claim / plan / copy / fixup phases); runs
-  /// in place of the root-scan + card-scan + drain sequence when a pool is
-  /// installed. Fills the Event phase fields.
+  /// The work-stealing scavenge (claim / plan / copy / fixup phases).
+  /// Fills the Event phase fields.
   void scavengeParallel(GcEvent &Event);
 
   //===--- major GC -------------------------------------------------------===
-  void markFromRoots();
-  /// Work-stealing mark (claim via an atomic mark-bit fetch_or); replaces
-  /// markFromRoots when a pool is installed.
+  /// Work-stealing mark (claim via an atomic mark-bit fetch_or).
   void markParallelFromRoots();
-  void markObject(uint64_t Addr, std::vector<uint64_t> &Stack);
   /// Publishes one finished collection's telemetry (histograms, occupancy
   /// gauges, trace spans). Runs at the serial Events.push_back point.
   void emitTelemetry(const GcEvent &Event);
@@ -208,18 +197,18 @@ private:
   /// are closed over immediately (their addresses do not survive minor
   /// GCs), pushing only their old children.
   void incMarkRef(uint64_t Addr);
-  /// Scans one marked object's slots, charging like markFromRoots.
+  /// Scans one marked object's slots, charging like the stop-the-world
+  /// mark: one header read plus one read per reference slot.
   void scanForMark(uint64_t Addr);
 
   heap::Heap &H;
   PolicyKind Policy;
   AccessMonitor *Monitor;
-  support::WorkStealingPool *Pool = nullptr;
+  support::WorkStealingPool &Pool;
   support::MetricsRegistry *Metrics = nullptr;
   support::TraceLog *TraceSink = nullptr;
   memsim::MigrationEngine *Migration = nullptr;
   GcStats Stats;
-  std::vector<uint64_t> Worklist;
   std::unordered_set<uint32_t> MigratedRddIds;
   /// Minor-GC count at the last major GC (re-trigger guard).
   uint64_t MinorsAtLastMajor = 0;

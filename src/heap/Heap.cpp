@@ -740,10 +740,11 @@ void Heap::walkObjects(uint64_t Start, uint64_t End,
   }
 }
 
-uint64_t Heap::firstObjectIntersectingCard(Space &S, size_t CardIdx) {
+uint64_t Heap::firstObjectIntersectingCard(Space &S, size_t CardIdx,
+                                           uint64_t Top) {
   uint64_t CardLo = Cards.cardStart(CardIdx);
   uint64_t CardHi = CardLo + CardTable::CardBytes;
-  if (CardLo >= S.top())
+  if (CardLo >= Top)
     return 0;
 
   // Anchor: the nearest known object start strictly before this card (the
@@ -754,14 +755,14 @@ uint64_t Heap::firstObjectIntersectingCard(Space &S, size_t CardIdx) {
   for (size_t C = CardIdx; C > BaseCard;) {
     --C;
     uint64_t A = Cards.firstObjectInCard(C);
-    if (A != CardTable::NoObject && A < S.top()) {
+    if (A != CardTable::NoObject && A < Top) {
       Anchor = A;
       break;
     }
   }
 
   uint64_t Addr = Anchor;
-  while (Addr < S.top()) {
+  while (Addr < Top) {
     uint32_t Size = header(Addr)->SizeBytes;
     if (Addr + Size > CardLo)
       return Addr < CardHi ? Addr : 0;

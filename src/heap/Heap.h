@@ -376,8 +376,15 @@ public:
                    const std::function<void(uint64_t)> &Fn);
 
   /// First object whose byte range intersects card \p CardIdx of \p S,
-  /// or 0 when the card is past the space's allocation frontier.
-  uint64_t firstObjectIntersectingCard(Space &S, size_t CardIdx);
+  /// or 0 when the card is past the allocation frontier \p Top. Objects
+  /// at or above \p Top are invisible, so a caller holding a snapshotted
+  /// frontier (the scavenge, while its plan phase extends the old spaces)
+  /// sees a fixed object population.
+  uint64_t firstObjectIntersectingCard(Space &S, size_t CardIdx,
+                                       uint64_t Top);
+  uint64_t firstObjectIntersectingCard(Space &S, size_t CardIdx) {
+    return firstObjectIntersectingCard(S, CardIdx, S.top());
+  }
 
   bool inGc() const { return InGcFlag; }
   void setInGc(bool V) { InGcFlag = V; }

@@ -46,8 +46,9 @@ struct EpochSample {
 
 /// Which implementation services onAccess/onAccessRange. Both produce
 /// bit-identical simulated time, energy, traffic, cache statistics, and
-/// bandwidth trace; PerLine is the straight-line reference loop kept for
-/// differential testing (--memsim-path=per-line, ci.sh equivalence diff).
+/// bandwidth trace; PerLine is the straight-line reference loop the
+/// twin-replay tests diff the batched path against. Production always
+/// runs Batched; only setAccessPath selects PerLine.
 enum class AccessPathMode {
   Batched, ///< Amortized device/prefetch/LLC bookkeeping per line run.
   PerLine, ///< Reference: one full pipeline evaluation per touched line.
@@ -135,14 +136,15 @@ public:
   /// Both implementations (Batched and PerLine) define this op by the
   /// identical FP operation sequence, so simulated time, energy, traffic,
   /// cache statistics, and bandwidth trace are bit-identical between them
-  /// (asserted by test and by the ci.sh diff). Batched additionally
+  /// (asserted by the twin-replay tests). Batched additionally
   /// resolves the device once per page run, coalesces the repeat cache
   /// probes, and precomputes the cost constants once per call.
   void onAccessRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
                      uint64_t ElemBytes = 0);
 
-  /// Selects the access implementation (default Batched); PerLine is the
-  /// reference loop used for differential verification.
+  /// Selects the access implementation (default Batched). PerLine is the
+  /// reference loop for differential tests and micro benchmarks; no
+  /// runtime option reaches it.
   void setAccessPath(AccessPathMode M) { Path = M; }
   AccessPathMode accessPath() const { return Path; }
 

@@ -160,20 +160,16 @@ struct RddNode {
   /// (the _SER storage levels). GC-cheap; reads pay deserialization.
   bool SerializedInMemory = false;
   /// True when partitions live in the off-heap region tier behind
-  /// GC-leaf stub objects (OFF_HEAP with --offheap-mb > 0). The top/dir
-  /// structure holds one OffHeapStub per partition; a stub whose native
-  /// address is offheap::NoAddress was spilled to DiskParts.
+  /// GC-leaf stub objects (OFF_HEAP). The top/dir structure holds one
+  /// OffHeapStub per partition; a stub whose native address is
+  /// offheap::NoAddress was spilled to DiskParts.
   bool OffHeapStubs = false;
   size_t TopRootId = SIZE_MAX; ///< Persistent root of the top object.
   /// LRU clock for storage eviction (bumped on every materialized read).
   uint64_t LastUse = 0;
-  /// OFF_HEAP / DISK_ONLY backing: per-partition (native address, count).
-  struct NativePartition {
-    uint64_t Addr = 0;
-    uint32_t Count = 0;
-  };
-  std::vector<NativePartition> NativeParts;
-  std::vector<std::vector<SourceRecord>> DiskParts; ///< DISK_ONLY rows.
+  /// DISK_ONLY rows, evicted MEMORY_AND_DISK rows, and spilled OFF_HEAP
+  /// partitions.
+  std::vector<std::vector<SourceRecord>> DiskParts;
 };
 
 using RddRef = std::shared_ptr<RddNode>;
@@ -281,8 +277,11 @@ struct EngineStats {
 /// The executor + scheduler. One per Runtime.
 class SparkContext {
 public:
+  /// Stages run their per-partition capture phase on \p Pool
+  /// (rdd/Capture.h); results are identical at every worker count.
   SparkContext(heap::Heap &H, gc::AccessMonitor *Monitor,
-               const EngineConfig &Config);
+               const EngineConfig &Config, support::WorkStealingPool &Pool);
+  ~SparkContext();
 
   heap::Heap &heapRef() { return H; }
   const EngineConfig &config() const { return Config; }
@@ -291,19 +290,21 @@ public:
 
   /// Installs the (optional) deterministic fault injector.
   void setFaultInjector(FaultInjector *F) { Faults = F; }
-  /// Installs the shared worker pool; without one, stages run serially.
-  void setThreadPool(support::WorkStealingPool *P) { Pool = P; }
   /// Installs the multi-executor cluster simulation (docs/cluster.md).
   /// Null (the default) runs the seed single-heap engine; with a cluster,
   /// tasks are placed by locality, map outputs register per executor, and
   /// reducers fetch remote blocks through the simulated fabric. The data
   /// plane (bucket contents and order) is identical either way.
   void setCluster(cluster::Cluster *C) { Clstr = C; }
-  /// Installs the off-heap region cache tier (docs/offheap.md). Null (the
-  /// default, --offheap-mb=0) keeps the seed OFF_HEAP materialization
-  /// path byte-identical; with a tier, OFF_HEAP partitions serialize into
-  /// regions behind GC-leaf stub objects.
-  void setOffHeapCache(offheap::OffHeapCache *C) { OffHeap = C; }
+  /// Sets the off-heap region tier's budget (--offheap-mb, docs/offheap.md).
+  /// The tier is built on the first OFF_HEAP materialization and claims
+  /// its budget from the heap's native region then; partitions that do
+  /// not fit spill to executor "disk" behind NoAddress stubs, so a zero
+  /// budget spills every partition.
+  void setOffHeapBudget(uint64_t Bytes) { OffHeapBudgetBytes = Bytes; }
+  /// The off-heap tier; null until an OFF_HEAP persist materializes, so a
+  /// run without one exports no offheap.* metrics.
+  offheap::OffHeapCache *offHeapCache() { return OffHeap.get(); }
   /// Installs the observability sinks (docs/observability.md): stage and
   /// per-partition task spans on the engine track, stamped with the
   /// simulated clock. Either may be null. Scalar engine.* counters are
@@ -517,7 +518,7 @@ private:
   EngineStats Stats;
   TaskLedger Ledger;
   FaultInjector *Faults = nullptr;
-  support::WorkStealingPool *Pool = nullptr;
+  support::WorkStealingPool &Pool;
   cluster::Cluster *Clstr = nullptr;
   ActiveClusterShuffle ClusterShuffle;
   support::MetricsRegistry *Metrics = nullptr;
@@ -531,7 +532,8 @@ private:
   std::vector<RddRef> TempMaterialized;
   /// Heap-materialized MEMORY_AND_DISK(_SER) RDDs, eligible for eviction.
   std::vector<RddRef> EvictableStore;
-  offheap::OffHeapCache *OffHeap = nullptr;
+  uint64_t OffHeapBudgetBytes = 0;
+  std::unique_ptr<offheap::OffHeapCache> OffHeap;
   /// RDDs whose partitions live in the off-heap tier; spillOffHeapVictim
   /// maps the tier's (rdd, partition) eviction pick back to its node.
   std::vector<RddRef> OffHeapStore;

@@ -224,8 +224,11 @@ std::vector<SourceRecord> Rdd::collect() const {
 //===----------------------------------------------------------------------===
 
 SparkContext::SparkContext(heap::Heap &H, gc::AccessMonitor *Monitor,
-                           const EngineConfig &Config)
-    : H(H), Monitor(Monitor), Config(Config) {}
+                           const EngineConfig &Config,
+                           support::WorkStealingPool &Pool)
+    : H(H), Monitor(Monitor), Config(Config), Pool(Pool) {}
+
+SparkContext::~SparkContext() = default;
 
 Rdd SparkContext::source(const SourceData *Data, const std::string &Name) {
   PANTHERA_CHECK(Data && Data->size() == Config.NumPartitions,
@@ -321,7 +324,6 @@ void SparkContext::dropMaterialized(const RddRef &R) {
     H.removePersistentRoot(R->TopRootId);
     R->TopRootId = SIZE_MAX;
   }
-  R->NativeParts.clear();
   R->DiskParts.clear();
   R->SerializedInMemory = false;
   R->OffHeapStubs = false;
@@ -749,22 +751,6 @@ void SparkContext::streamMaterialized(const RddRef &R, uint32_t P,
     }
     return;
   }
-  if (!R->NativeParts.empty()) {
-    // OFF_HEAP: deserialize records from native NVM into young tuples.
-    // The whole partition is read through one record-granular range (the
-    // native region never moves, so hoisting the reads ahead of the
-    // allocating sink is safe) and the per-record deserialization CPU is
-    // charged in the sink loop.
-    const RddNode::NativePartition &Part = R->NativeParts[P];
-    std::vector<SourceRecord> Rows(Part.Count);
-    H.nativeReadRecords(Part.Addr, Rows.data(), Part.Count,
-                        sizeof(SourceRecord));
-    for (const SourceRecord &Row : Rows) {
-      Mem.addCpuWorkNs(Config.PerRecordCpuNs);
-      Sink(Ctx.makeTuple(Row.Key, Row.Val));
-    }
-    return;
-  }
   if (!R->DiskParts.empty()) {
     // DISK_ONLY or evicted MEMORY_AND_DISK: re-read from "disk"
     // (unaccounted device; deserialization CPU cost only).
@@ -983,12 +969,15 @@ void SparkContext::materializeNarrow(const RddRef &R,
   if (Fusion && Fusion->Rollback)
     FusionRollback = Fusion->Rollback;
 
-  if (R->Level == StorageLevel::OffHeapSer && R->PersistRequested &&
-      OffHeap) {
+  if (R->Level == StorageLevel::OffHeapSer && R->PersistRequested) {
     // Off-heap region tier (docs/offheap.md): serialize each partition
     // once into a region, then root one GC-leaf stub per partition. The
     // serialized bytes never appear in trace or compaction work; only the
-    // 48-byte stubs do.
+    // 48-byte stubs do. The paper places all off-heap native memory in
+    // NVM (§4.1); the tier claims its budget there on first use.
+    if (!OffHeap)
+      OffHeap = std::make_unique<offheap::OffHeapCache>(
+          H, OffHeapBudgetBytes, Metrics, TraceSink);
     R->OffHeapStubs = true;
     GcRoot Dir(H, H.allocRefArray(P));
     RddContext Ctx(H);
@@ -1049,33 +1038,6 @@ void SparkContext::materializeNarrow(const RddRef &R,
     if (std::find(OffHeapStore.begin(), OffHeapStore.end(), R) ==
         OffHeapStore.end())
       OffHeapStore.push_back(R);
-    return;
-  }
-  if (R->Level == StorageLevel::OffHeapSer && R->PersistRequested) {
-    // Serialize into native NVM memory (the paper places all off-heap
-    // native memory in NVM, §4.1).
-    R->NativeParts.assign(P, {});
-    for (uint32_t I = 0; I != P; ++I) {
-      Place(I);
-      runTask(
-          Stage, R->Id, I,
-          [&] {
-            std::vector<SourceRecord> Rows;
-            RddContext Ctx(H);
-            streamPartition(R, I, [&](ObjRef T) {
-              Rows.push_back({Ctx.key(T), Ctx.value(T)});
-            });
-            uint64_t Addr = H.allocNative(Rows.size() * sizeof(SourceRecord));
-            for (size_t J = 0; J != Rows.size(); ++J)
-              H.nativeWrite(Addr + J * sizeof(SourceRecord), &Rows[J],
-                            sizeof(SourceRecord));
-            R->NativeParts[I] = {Addr, static_cast<uint32_t>(Rows.size())};
-          },
-          nullptr, ExecPtr(I));
-      Placed(I);
-    }
-    R->Materialized = true;
-    ++Stats.RddsMaterialized;
     return;
   }
   if (R->Level == StorageLevel::DiskOnly && R->PersistRequested) {
@@ -1784,11 +1746,7 @@ bool SparkContext::captureStage(const RddRef &R, ActionKind Kind,
       S.Aborted = true;
     }
   };
-  if (Pool)
-    Pool->run(Config.NumPartitions, CaptureOne);
-  else
-    for (uint32_t P = 0; P != Config.NumPartitions; ++P)
-      CaptureOne(P, 0);
+  Pool.run(Config.NumPartitions, CaptureOne);
   for (const CaptureSession &S : Sessions)
     if (S.Aborted)
       return false;

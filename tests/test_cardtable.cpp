@@ -171,6 +171,39 @@ TEST_F(BotTest, FindsSecondObjectInSharedCard) {
   EXPECT_EQ(Next, B.addr());
 }
 
+TEST_F(BotTest, SnapshottedFrontierHidesLaterObjects) {
+  // The scavenge computes card ranges against the old-space tops it saw
+  // before planning; objects promoted since then must stay invisible,
+  // both as scan results and as anchors for the backwards search.
+  HeapConfig Config;
+  Config.HeapBytes = 8 * PaperGB;
+  Config.NativeBytes = 2 * PaperGB;
+  Config.Tuning.CardPadding = false;
+  Mem = std::make_unique<memsim::HybridMemory>(
+      16 * PaperGB, memsim::MemoryTechnology{}, memsim::CacheConfig{});
+  H = std::make_unique<Heap>(Config, *Mem);
+
+  Space &S = H->oldNvm();
+  H->setPendingArrayTag(MemTag::Nvm, 1);
+  ObjRef A = H->allocRefArray(1056); // ends mid-card
+  uint64_t Top = S.top();
+  H->setPendingArrayTag(MemTag::Nvm, 2);
+  ObjRef B = H->allocRefArray(8192);
+  ASSERT_EQ(B.addr(), Top);
+  ASSERT_LT(Top, S.top());
+
+  CardTable &Cards = H->cardTable();
+  size_t TopCard = Cards.cardIndex(Top);
+  // The card holding the snapshot frontier: only A is visible.
+  EXPECT_EQ(H->firstObjectIntersectingCard(S, TopCard, Top), A.addr());
+  // Cards wholly past the snapshot: B covers them now, but not at Top.
+  for (size_t Off : {size_t(1), size_t(5)}) {
+    EXPECT_EQ(H->firstObjectIntersectingCard(S, TopCard + Off), B.addr());
+    EXPECT_EQ(H->firstObjectIntersectingCard(S, TopCard + Off, Top), 0u)
+        << "card " << Off << " past the snapshot frontier";
+  }
+}
+
 TEST_F(BotTest, WalkObjectsSeesContiguousRun) {
   H->setPendingArrayTag(MemTag::Dram, 1);
   H->allocRefArray(1100);

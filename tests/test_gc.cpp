@@ -34,12 +34,13 @@ protected:
         HeapConfig::alignPage(4096 + HC.HeapBytes + HC.NativeBytes),
         memsim::MemoryTechnology{}, memsim::CacheConfig{});
     H = std::make_unique<Heap>(HC, *Mem);
-    C = std::make_unique<Collector>(*H, Policy, &Monitor);
+    C = std::make_unique<Collector>(*H, Policy, &Monitor, Pool);
   }
 
   std::unique_ptr<memsim::HybridMemory> Mem;
   std::unique_ptr<Heap> H;
   AccessMonitor Monitor;
+  support::WorkStealingPool Pool{1};
   std::unique_ptr<Collector> C;
 };
 
@@ -154,7 +155,7 @@ TEST_F(GcTest, EagerPromotionCanBeDisabled) {
       HeapConfig::alignPage(4096 + HC.HeapBytes + HC.NativeBytes),
       memsim::MemoryTechnology{}, memsim::CacheConfig{});
   H = std::make_unique<Heap>(HC, *Mem);
-  C = std::make_unique<Collector>(*H, PolicyKind::Panthera, &Monitor);
+  C = std::make_unique<Collector>(*H, PolicyKind::Panthera, &Monitor, Pool);
 
   GcRoot R(*H, H->allocPlain(0, 16));
   H->header(R.get().addr())->setMemTag(MemTag::Dram);
@@ -306,7 +307,7 @@ TEST_F(GcTest, SharedCardPathologyWithoutPadding) {
       HeapConfig::alignPage(4096 + HC.HeapBytes + HC.NativeBytes),
       memsim::MemoryTechnology{}, memsim::CacheConfig{});
   H = std::make_unique<Heap>(HC, *Mem);
-  C = std::make_unique<Collector>(*H, PolicyKind::Panthera, &Monitor);
+  C = std::make_unique<Collector>(*H, PolicyKind::Panthera, &Monitor, Pool);
 
   H->setPendingArrayTag(MemTag::Nvm, 1);
   GcRoot A(*H, H->allocRefArray(1056));
@@ -397,7 +398,7 @@ TEST_F(GcTest, EventLogCountsPromotedBytes) {
 /// survivors can neither tenure by age nor be promoted, so their age must
 /// pin at 255 across further minor GCs instead of wrapping to 0 (which
 /// restarts the tenuring clock and strands hot objects in the nursery).
-void runAgeSaturationTest(bool Parallel) {
+void runAgeSaturationTest(unsigned Workers) {
   HeapConfig HC = makeHeapConfig(PolicyKind::Panthera, 2, 1.0 / 3.0);
   HC.NativeBytes = PaperGB / 4;
   HC.Tuning.TenureAge = 255;
@@ -406,12 +407,8 @@ void runAgeSaturationTest(bool Parallel) {
       HeapConfig::alignPage(4096 + HC.HeapBytes + HC.NativeBytes),
       memsim::MemoryTechnology{}, memsim::CacheConfig{});
   auto H = std::make_unique<Heap>(HC, *Mem);
-  auto C = std::make_unique<Collector>(*H, PolicyKind::Panthera, nullptr);
-  std::unique_ptr<support::WorkStealingPool> Pool;
-  if (Parallel) {
-    Pool = std::make_unique<support::WorkStealingPool>(4);
-    C->setThreadPool(Pool.get());
-  }
+  support::WorkStealingPool Pool(Workers);
+  auto C = std::make_unique<Collector>(*H, PolicyKind::Panthera, nullptr, Pool);
 
   // Pack both old-generation components with pretenured arrays until one
   // falls back to a young allocation (DRAM-tagged arrays overflow into
@@ -438,19 +435,17 @@ void runAgeSaturationTest(bool Parallel) {
     uint64_t Addr = H->persistentRoot(Id).addr();
     if (!H->isYoung(Addr))
       continue; // squeezed into a leftover old-gen gap; age preserved
-    EXPECT_EQ(H->header(Addr)->Age, 255u) << "survivor age must saturate";
+    EXPECT_EQ(H->header(Addr)->Age, 255u)
+        << "survivor age must saturate at " << Workers << " workers";
     ++YoungAtCeiling;
   }
   EXPECT_GE(YoungAtCeiling, 50u)
       << "test setup must strand objects at the age ceiling";
 }
 
-TEST(GcAgeSaturation, SerialScavengeSaturatesAt255) {
-  runAgeSaturationTest(/*Parallel=*/false);
-}
-
 TEST(GcAgeSaturation, ParallelScavengeSaturatesAt255) {
-  runAgeSaturationTest(/*Parallel=*/true);
+  runAgeSaturationTest(/*Workers=*/1);
+  runAgeSaturationTest(/*Workers=*/4);
 }
 
 TEST(AccessMonitorSaturation, WindowCountSaturatesInsteadOfWrapping) {

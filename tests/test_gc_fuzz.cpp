@@ -51,17 +51,30 @@ TEST(GcFuzzRegression, BumpPointerWraparoundIsRejected) {
 // Frozen repros: with the survivor-age increment un-saturated (uint8
 // wraps 255 -> 0 once the old generation is too full to promote), these
 // pairs diverge inside a minor-gc-burst with "survivor age clock broken:
-// age 0 after a minor gc, expected 255". One seed per scavenge
-// implementation: the work-stealing plan/copy path and the serial
-// evacuate path age survivors at different sites.
+// age 0 after a minor gc, expected 255". The scavenge ages survivors in
+// its copy phase; the second tuple replays at one worker and at eight,
+// with bit-identical digests.
 TEST(GcFuzzRegression, SurvivorAgeSaturatesParallelScavenge) {
   FuzzResult R = run(1, 397, FuzzConfigKind::Pressure, /*Threads=*/8);
   EXPECT_TRUE(R.Ok) << R.Problem;
 }
 
-TEST(GcFuzzRegression, SurvivorAgeSaturatesSerialScavenge) {
+TEST(GcFuzzRegression, SurvivorAgeSaturatesAtEveryWorkerCount) {
+  FuzzResult One = run(3, 465, FuzzConfigKind::Pressure, /*Threads=*/1);
+  FuzzResult Eight = run(3, 465, FuzzConfigKind::Pressure, /*Threads=*/8);
+  ASSERT_TRUE(One.Ok) << One.Problem;
+  ASSERT_TRUE(Eight.Ok) << Eight.Problem;
+  EXPECT_EQ(One.Digest, Eight.Digest);
+  EXPECT_GT(One.MinorGcs, 0u);
+}
+
+// The collector always runs on a pool; a zero worker count is a caller
+// error reported as a failed result, never a silent fallback.
+TEST(GcFuzz, ZeroWorkersIsRejected) {
   FuzzResult R = run(3, 465, FuzzConfigKind::Pressure, /*Threads=*/0);
-  EXPECT_TRUE(R.Ok) << R.Problem;
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.ActionsRun, 0u);
+  EXPECT_NE(R.Problem.find("Threads"), std::string::npos) << R.Problem;
 }
 
 // Frozen repro, executors mode with the degraded-cluster interleave: each

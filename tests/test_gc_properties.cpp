@@ -14,6 +14,7 @@
 #include "gc/Collector.h"
 #include "gc/HeapVerifier.h"
 #include "support/Random.h"
+#include "support/ThreadPool.h"
 #include "support/Units.h"
 
 #include <gtest/gtest.h>
@@ -48,7 +49,8 @@ TEST_P(GcFuzz, GraphSurvivesChurnUnderEveryPolicy) {
       HeapConfig::alignPage(4096 + HC.HeapBytes + HC.NativeBytes),
       memsim::MemoryTechnology{}, memsim::CacheConfig{});
   Heap H(HC, *Mem);
-  Collector C(H, Policy, nullptr);
+  support::WorkStealingPool Pool(1);
+  Collector C(H, Policy, nullptr, Pool);
 
   SplitMix64 Rng(Seed);
   constexpr int NumRoots = 24;
@@ -170,7 +172,8 @@ TEST_P(GcOptionSweep, TaggedArrayGraphsSurviveCollections) {
       HeapConfig::alignPage(4096 + HC.HeapBytes + HC.NativeBytes),
       memsim::MemoryTechnology{}, memsim::CacheConfig{});
   Heap H(HC, *Mem);
-  Collector C(H, PolicyKind::Panthera, nullptr);
+  support::WorkStealingPool Pool(1);
+  Collector C(H, PolicyKind::Panthera, nullptr, Pool);
 
   std::vector<size_t> Roots;
   for (int A = 0; A != 4; ++A) {

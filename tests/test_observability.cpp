@@ -180,8 +180,8 @@ Exports runWorkload(
   core::RuntimeConfig Config;
   Config.Policy = gc::PolicyKind::Panthera;
   Config.NumThreads = Threads;
-  Config.AccessPath = Path;
   core::Runtime RT(Config);
+  RT.memory().setAccessPath(Path);
   Spec->Run(RT, /*Scale=*/0.4);
   return {RT.metricsJson(), RT.traceJson()};
 }

@@ -8,8 +8,10 @@
 /// invariants (bump boundary, whole-region reclamation, free-list
 /// recycling), the OffHeapCache round trip and eviction order, the
 /// GC-leaf-stub contract (cached bytes contribute zero trace work), the
-/// engine integration behind StorageLevel::OffHeapSer, and the
-/// --offheap-mb=0 inertness the byte-identity CI check relies on.
+/// engine integration behind StorageLevel::OffHeapSer (including the
+/// zero-budget spill-all case and persist/unpersist cycles returning their
+/// native bytes), and the lazily built tier's absence from runs that never
+/// persist OFF_HEAP.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,8 +32,8 @@ namespace {
 
 class OffHeapTest : public ::testing::Test {
 protected:
-  void makeRuntime(unsigned OffHeapMB, unsigned Threads = 0,
-                   unsigned Executors = 1) {
+  void makeRuntime(unsigned OffHeapMB = core::RuntimeConfig().OffHeapMB,
+                   unsigned Threads = 0, unsigned Executors = 1) {
     core::RuntimeConfig Config;
     Config.Policy = gc::PolicyKind::Panthera;
     Config.HeapPaperGB = 16;
@@ -229,10 +231,11 @@ TEST_F(OffHeapTest, VictimOrderIsUntouchedFirstThenLeastTouched) {
 
 TEST_F(OffHeapTest, EngineRoundTripsThroughStubs) {
   makeRuntime(/*OffHeapMB=*/256);
-  ASSERT_NE(RT->offHeapCache(), nullptr);
   SourceData Data = makeData(2000);
   Rdd R = persistOffHeap(&Data);
+  EXPECT_EQ(RT->offHeapCache(), nullptr) << "the tier is built on first use";
   EXPECT_EQ(R.count(), 2000);
+  ASSERT_NE(RT->offHeapCache(), nullptr);
   EXPECT_TRUE(R.node()->OffHeapStubs);
   const offheap::OffHeapCacheStats &S = RT->offHeapCache()->stats();
   EXPECT_EQ(S.PartitionsCached, RT->ctx().config().NumPartitions);
@@ -308,17 +311,57 @@ TEST_F(OffHeapTest, BudgetPressureSpillsToDiskAndStaysCorrect) {
   EXPECT_DOUBLE_EQ(Sum, Expected);
 }
 
-TEST_F(OffHeapTest, TierOffIsInert) {
+// A zero budget is not a separate mode: the tier claims nothing, and every
+// partition spills to executor disk behind a NoAddress stub.
+TEST_F(OffHeapTest, ZeroBudgetSpillsEveryPartition) {
   makeRuntime(/*OffHeapMB=*/0);
-  EXPECT_EQ(RT->offHeapCache(), nullptr);
   SourceData Data = makeData(2000);
   Rdd R = persistOffHeap(&Data);
   EXPECT_EQ(R.count(), 2000);
-  EXPECT_FALSE(R.node()->OffHeapStubs)
-      << "without a tier OFF_HEAP runs the seed native-parts path";
-  // No offheap.* keys may appear in the metrics export: the CI byte-diff
-  // against the seed depends on the key set being unchanged.
+  EXPECT_TRUE(R.node()->OffHeapStubs);
+  ASSERT_NE(RT->offHeapCache(), nullptr);
+  EXPECT_FALSE(RT->offHeapCache()->allocator().claimed());
+  EXPECT_EQ(RT->offHeapCache()->stats().PartitionsCached, 0u);
+  EXPECT_EQ(R.node()->DiskParts.size(), RT->ctx().config().NumPartitions);
+  double Sum = R.reduce([](double A, double B) { return A + B; });
+  EXPECT_DOUBLE_EQ(Sum, 0.5 * 1999 * 2000 / 2);
+}
+
+// Regression: OFF_HEAP persists used to bump-allocate native memory that
+// unpersist never returned, so the default 16 MB native region ran out
+// after ten 100k-record cycles. Regions now recycle through unpersist.
+TEST_F(OffHeapTest, PersistUnpersistCyclesReturnNativeBytes) {
+  makeRuntime();
+  SourceData Data = makeData(100000);
+  for (int Cycle = 0; Cycle != 30; ++Cycle) {
+    Rdd R = persistOffHeap(&Data);
+    ASSERT_EQ(R.count(), 100000) << "cycle " << Cycle;
+    R.unpersist();
+  }
+  const offheap::OffHeapCache &C = *RT->offHeapCache();
+  EXPECT_EQ(C.stats().PartitionsEvicted, 0u);
+  EXPECT_EQ(C.stats().PartitionsUnpersisted,
+            30u * RT->ctx().config().NumPartitions);
+  EXPECT_EQ(RT->offHeapCache()->allocator().liveRegions(), 0u);
+  EXPECT_EQ(RT->heap().native().usedBytes(),
+            RT->offHeapCache()->allocator().claimBytes())
+      << "the tier's one claim is the only native allocation";
+  EXPECT_EQ(RT->offHeapCache()->allocator().claimBytes(),
+            RT->heap().native().sizeBytes())
+      << "the default budget claims exactly the native region";
+}
+
+// The tier is built by the first OFF_HEAP persist, so a run that never
+// makes one exports no offheap.* keys.
+TEST_F(OffHeapTest, TierOffIsInert) {
+  makeRuntime();
+  SourceData Data = makeData(2000);
+  Rdd R = RT->ctx().source(&Data).persistAs("mem",
+                                             rdd::StorageLevel::MemoryOnly);
+  EXPECT_EQ(R.count(), 2000);
+  EXPECT_EQ(RT->offHeapCache(), nullptr);
   EXPECT_EQ(RT->metricsJson().find("offheap."), std::string::npos);
+  EXPECT_EQ(RT->traceJson().find("offheap"), std::string::npos);
 }
 
 TEST_F(OffHeapTest, ChecksumInvariantAcrossThreadsAndExecutors) {

@@ -40,18 +40,13 @@ cmp "${obs}/m1.json" "${obs}/m8.json"
 cmp "${obs}/t1.json" "${obs}/t8.json"
 echo "ci: observability exports valid and thread-invariant"
 
-# Memsim access-path smoke (docs/memsim.md): the batched fast path must
-# be bit-identical to the per-line reference -- same metrics and trace
-# bytes for a full workload -- and the micro benchmark enforces its own
-# >= 10x hot-path throughput floor (BENCH_hotpath.json).
-echo "=== memsim access-path smoke ==="
-./build/tools/panthera_sim --workload=PR --scale=0.1 --threads=1 \
-  --memsim-path=per-line --metrics-json="${obs}/pl.json" \
-  --trace-json="${obs}/plt.json" >/dev/null
-cmp "${obs}/m1.json" "${obs}/pl.json"
-cmp "${obs}/t1.json" "${obs}/plt.json"
+# Memsim access-path floor (docs/memsim.md): the micro benchmark enforces
+# the batched path's >= 10x hot-path throughput over the per-line
+# reference (BENCH_hotpath.json). Whole-workload bit-identity of the two
+# paths at 1 and 8 threads is a ctest (Observability.AccessPath*).
+echo "=== memsim access-path floor ==="
 (cd "${obs}" && "${OLDPWD}/build/bench/micro_memsim")
-echo "ci: batched path bit-identical to per-line, throughput floor met"
+echo "ci: batched-path throughput floor met"
 
 # 10x-scale smoke: the fast path is what makes double-digit scale factors
 # tractable; one fig4 cell at scale 10 must finish inside a CI-friendly
@@ -163,29 +158,15 @@ grep -q '"gc.incremental.cycles": [1-9]' "${obs}/i1.json"
 grep -q '"pass": true' BENCH_pause.json
 echo "ci: budget-0 byte-identical, budgeted runs thread-invariant, p99 floor met"
 
-# Off-heap tier smoke (docs/offheap.md): --offheap-mb=0 must be
-# byte-identical to the seed engine (the m1/t1 exports above are exactly
-# that run), an enabled budget on a workload with no OFF_HEAP persists
-# constructs the tier without changing the checksum, and the three-way
-# serialized-cache ablation enforces its floors (off-heap old-gen trace
-# strictly below deserialized at every swept ratio, total time below
-# on-heap _SER at >= 1 ratio) into BENCH_sercache.json.
-echo "=== off-heap tier smoke ==="
-./build/tools/panthera_sim --workload=PR --scale=0.1 --threads=1 \
-  --offheap-mb=0 --metrics-json="${obs}/oh0.json" \
-  --trace-json="${obs}/oh0.trace" >/dev/null
-cmp "${obs}/m1.json" "${obs}/oh0.json"
-cmp "${obs}/t1.json" "${obs}/oh0.trace"
-./build/tools/panthera_sim --workload=PR --scale=0.1 --threads=1 \
-  --offheap-mb=512 >"${obs}/oh1.txt"
-grep -o 'result checksum: [0-9.]*' "${obs}/oh1.txt" >"${obs}/oh1.sum"
-./build/tools/panthera_sim --workload=PR --scale=0.1 \
-  --threads=1 >"${obs}/oh-base.txt"
-grep -o 'result checksum: [0-9.]*' "${obs}/oh-base.txt" >"${obs}/oh0.sum"
-cmp "${obs}/oh0.sum" "${obs}/oh1.sum"
+# Off-heap tier floors (docs/offheap.md): the three-way serialized-cache
+# ablation enforces off-heap old-gen trace strictly below deserialized at
+# every swept ratio and total time below on-heap _SER at >= 1 ratio, into
+# BENCH_sercache.json. That a run without OFF_HEAP persists builds no
+# tier and exports no offheap.* keys is a ctest (OffHeapTest.TierOffIsInert).
+echo "=== off-heap tier floors ==="
 (cd "${obs}" && "${OLDPWD}/build/bench/ablation_ser_cache")
 grep -q '"pass": true' "${obs}/BENCH_sercache.json"
-echo "ci: --offheap-mb=0 byte-identical, sercache ablation floors met"
+echo "ci: sercache ablation floors met"
 
 run_config build-san -DPANTHERA_SANITIZE=address,undefined
 
@@ -222,7 +203,8 @@ fuzz=./build-san/tools/gc_fuzz
 "${fuzz}" --seed=1 --ops=27 --config=split
 "${fuzz}" --seed=1 --ops=93 --config=dram
 "${fuzz}" --seed=1 --ops=397 --config=pressure --threads=8
-"${fuzz}" --seed=3 --ops=465 --config=pressure --threads=0
+"${fuzz}" --seed=3 --ops=465 --config=pressure --threads=1
+"${fuzz}" --seed=3 --ops=465 --config=pressure --threads=8
 "${fuzz}" --seed=1 --ops=93 --config=split --executors=2
 # The incremental config interleaves explicit mark steps with mutation so
 # the SATB write barrier and the finishing major run against the shadow

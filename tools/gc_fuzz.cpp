@@ -38,7 +38,7 @@ void usage(const char *Argv0) {
       "(default 1)\n"
       "  --config=NAME    dram | split | pressure | incremental | offheap "
       "(default split)\n"
-      "  --threads=N      GC workers; 0 = serial collector (default 1)\n"
+      "  --threads=N      GC workers, 1..64 (default 1)\n"
       "  --executors=N    replay each schedule on N independent executor\n"
       "                   heaps and require bit-identical heap digests;\n"
       "                   also interleaves seeded slow-executor (forced\n"
@@ -91,8 +91,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
         return false;
       }
     } else if (const char *S = Val("--threads=")) {
-      if (!support::parseUnsigned(S, 0, 64, V)) {
-        std::fprintf(stderr, "gc_fuzz: bad --threads '%s' (0..64)\n", S);
+      if (!support::parseUnsigned(S, 1, 64, V)) {
+        std::fprintf(stderr, "gc_fuzz: bad --threads '%s' (1..64)\n", S);
         return false;
       }
       O.Fuzz.Threads = static_cast<unsigned>(V);

@@ -220,14 +220,7 @@ int main(int Argc, char **Argv) {
         return BadFlag(A, "on or off");
     } else if (std::strcmp(A, "--no-zero-copy-shuffle") == 0)
       Config.Cluster.ZeroCopyShuffle = false;
-    else if (const char *V = Val("--memsim-path=")) {
-      if (std::strcmp(V, "batched") == 0)
-        Config.AccessPath = memsim::AccessPathMode::Batched;
-      else if (std::strcmp(V, "per-line") == 0)
-        Config.AccessPath = memsim::AccessPathMode::PerLine;
-      else
-        return BadFlag(A, "batched or per-line");
-    } else if (const char *V = Val("--epoch-ns=")) {
+    else if (const char *V = Val("--epoch-ns=")) {
       if (!support::parseF64(V, 1.0, 1e15, F))
         return BadFlag(A, "an epoch length in simulated ns >= 1");
       Config.EpochNs = F;
@@ -257,7 +250,7 @@ int main(int Argc, char **Argv) {
       Config.IncStepAllocs = static_cast<uint32_t>(U);
     } else if (const char *V = Val("--offheap-mb=")) {
       if (!support::parseUnsigned(V, 0, 1u << 30, U))
-        return BadFlag(A, "a budget in paper MB >= 0 (0 = no tier)");
+        return BadFlag(A, "a budget in paper MB >= 0 (0 = spill all)");
       Config.OffHeapMB = static_cast<unsigned>(U);
     }
     else if (std::strcmp(A, "--list") == 0) {
@@ -297,8 +290,10 @@ int main(int Argc, char **Argv) {
           "  --offheap-mb=N     off-heap serialized cache tier budget in\n"
           "                     paper MB (docs/offheap.md); OFF_HEAP\n"
           "                     persists serialize into untraced native\n"
-          "                     regions behind GC leaf stubs. Default 0 =\n"
-          "                     no tier, byte-identical output\n"
+          "                     regions behind GC leaf stubs. Default\n"
+          "                     16384 (the whole native region); beyond\n"
+          "                     the budget partitions spill to disk, so\n"
+          "                     0 spills them all\n"
           "  --heap=GB          heap size in paper GB (default 64)\n"
           "  --ratio=F          DRAM : total memory (default 0.333)\n"
           "  --nursery=F        nursery fraction of the heap\n"
@@ -352,9 +347,6 @@ int main(int Argc, char **Argv) {
           "                     serialization + fabric charges (default\n"
           "                     on; inert until --hosts co-locates)\n"
           "  --no-zero-copy-shuffle  same as --zero-copy-shuffle=off\n"
-          "  --memsim-path=P    memory-simulator implementation: batched\n"
-          "                     (default fast path) or per-line (the\n"
-          "                     reference loop; bit-identical output)\n"
           "  --epoch-ns=NS      bandwidth-trace bucket length in simulated\n"
           "                     ns (default 100000)\n"
           "  --list             list workloads and exit\n");
