@@ -75,6 +75,10 @@ int main(int Argc, char **Argv) {
   std::printf("\nshape checks:\n");
   std::printf("  Panthera time <= Unmanaged time (mean):  %s\n",
               geomean(PT) <= geomean(UT) ? "yes" : "NO");
+  std::printf("  Panthera <= Unmanaged time:");
+  for (size_t I = 0; I != PT.size(); ++I)
+    std::printf(" %s %s", Refs[I].Name, PT[I] <= UT[I] ? "yes" : "no");
+  std::printf("\n");
   std::printf("  Panthera energy <= Unmanaged energy:     %s\n",
               geomean(PE) <= geomean(UE) ? "yes" : "NO");
   std::printf("  hybrid saves substantial energy (<0.8):  %s\n",

@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// A GC-log-style timeline for PageRank under Panthera and Unmanaged,
-/// with each minor collection broken into the §4.2.2 tasks (root task,
-/// DRAM-to-young, NVM-to-young, copy/drain). The aggregate view shows
+/// with each minor collection broken into the §4.2.2 card-scan tasks
+/// (DRAM-to-young, NVM-to-young) and copy/drain. Root scanning touches no
+/// simulated memory, so it has no column. The aggregate view shows
 /// where the Unmanaged baseline's extra GC time is spent: old-to-young
 /// scanning and copying against NVM.
 ///
@@ -31,29 +32,25 @@ void timelineFor(gc::PolicyKind Policy, double Scale) {
   PR->Run(RT, Scale);
 
   std::printf("\n-- %s --\n", gc::policyName(Policy));
-  std::printf("%4s %-6s %9s %9s %8s %8s %8s %8s %10s\n", "#", "kind",
-              "t(ms)", "dur(us)", "root", "d2y", "n2y", "drain",
-              "promotedKB");
-  double Root = 0, D2y = 0, N2y = 0, Drain = 0, Total = 0;
+  std::printf("%4s %-6s %9s %9s %8s %8s %8s %10s\n", "#", "kind", "t(ms)",
+              "dur(us)", "d2y", "n2y", "drain", "promotedKB");
+  double D2y = 0, N2y = 0, Drain = 0, Total = 0;
   unsigned Index = 0;
   for (const gc::GcEvent &E : RT.collector().eventLog()) {
-    std::printf("%4u %-6s %9.2f %9.1f %8.1f %8.1f %8.1f %8.1f %10.1f\n",
-                Index++, E.Major ? "major" : "minor", E.StartNs / 1e6,
-                E.DurationNs / 1e3, E.RootTaskNs / 1e3,
-                E.DramToYoungTaskNs / 1e3, E.NvmToYoungTaskNs / 1e3,
-                E.DrainNs / 1e3,
+    std::printf("%4u %-6s %9.2f %9.1f %8.1f %8.1f %8.1f %10.1f\n", Index++,
+                E.Major ? "major" : "minor", E.StartNs / 1e6,
+                E.DurationNs / 1e3, E.DramToYoungTaskNs / 1e3,
+                E.NvmToYoungTaskNs / 1e3, E.DrainNs / 1e3,
                 static_cast<double>(E.BytesPromoted) / 1024.0);
-    Root += E.RootTaskNs;
     D2y += E.DramToYoungTaskNs;
     N2y += E.NvmToYoungTaskNs;
     Drain += E.DrainNs;
     Total += E.DurationNs;
   }
   if (Total > 0)
-    std::printf("task shares: root %.1f%%, DRAM-to-young %.1f%%, "
-                "NVM-to-young %.1f%%, copy/drain %.1f%%\n",
-                100 * Root / Total, 100 * D2y / Total, 100 * N2y / Total,
-                100 * Drain / Total);
+    std::printf("task shares: DRAM-to-young %.1f%%, NVM-to-young %.1f%%, "
+                "copy/drain %.1f%%\n",
+                100 * D2y / Total, 100 * N2y / Total, 100 * Drain / Total);
 }
 
 } // namespace

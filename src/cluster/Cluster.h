@@ -24,7 +24,7 @@
 ///    with a delay-scheduling slack knob, and survives executor loss.
 ///
 /// Determinism contract: every Cluster call happens on the serial driver
-/// scheduling path (the thread pool only runs capture and GC phases), so
+/// scheduling path (the thread pool only runs GC phases), so
 /// placement decisions, fabric charges, and fault draws are bit-identical
 /// at every --threads value. The shuffle *data plane* is untouched -- the
 /// driver-side buckets carry the records exactly as in the single-heap

@@ -94,8 +94,7 @@ Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
 
   rdd::EngineConfig EC = Config.Engine;
   EC.UseStaticTags = gc::usesStaticTags(Config.Policy);
-  Context =
-      std::make_unique<rdd::SparkContext>(*TheHeap, &Monitor, EC, *Pool);
+  Context = std::make_unique<rdd::SparkContext>(*TheHeap, &Monitor, EC);
   Context->setTelemetry(&Metrics, &Trace);
   Context->setOffHeapBudget(static_cast<uint64_t>(Config.OffHeapMB) *
                             PaperMB);

@@ -82,11 +82,11 @@ struct RuntimeConfig {
   /// Verify the heap after every recovery path: emergency GC, pressure
   /// eviction, task retry. Tests default this on.
   bool VerifyHeapAfterRecovery = false;
-  /// Worker threads shared by stage execution and GC (--threads). 0 means
-  /// auto: the PANTHERA_THREADS environment variable if set, otherwise
-  /// std::thread::hardware_concurrency(). Results and simulated
-  /// time/energy are identical at every thread count; only wall-clock
-  /// changes.
+  /// GC worker threads for the parallel scavenge and mark (--threads); the
+  /// engine runs every stage serially. 0 means auto: the PANTHERA_THREADS
+  /// environment variable if set, otherwise hardware_concurrency().
+  /// Results and simulated time/energy are identical at every thread
+  /// count; only wall-clock changes.
   unsigned NumThreads = 0;
   /// Cluster simulation knobs (docs/cluster.md). NumExecutors == 1 (the
   /// default) constructs no cluster at all: the engine runs the seed

@@ -64,7 +64,6 @@ void Collector::emitTelemetry(const GcEvent &Event) {
       Metrics->histogram("gc.major.mark_ns").observe(Event.MarkNs);
       Metrics->histogram("gc.major.compact_ns").observe(Event.CompactNs);
     } else {
-      Metrics->histogram("gc.minor.root_task_ns").observe(Event.RootTaskNs);
       Metrics->histogram("gc.minor.dram_to_young_ns")
           .observe(Event.DramToYoungTaskNs);
       Metrics->histogram("gc.minor.nvm_to_young_ns")
@@ -114,7 +113,6 @@ void Collector::emitTelemetry(const GcEvent &Event) {
       Phase("mark", Event.MarkNs);
       Phase("compact", Event.CompactNs);
     } else {
-      Phase("root task", Event.RootTaskNs);
       Phase("dram-to-young cards", Event.DramToYoungTaskNs);
       Phase("nvm-to-young cards", Event.NvmToYoungTaskNs);
       Phase("drain", Event.DrainNs);
@@ -728,10 +726,9 @@ private:
 
     // Single bulk charge per task family; the integer counts were merged
     // above, so time is identical at every worker count. Root handles live
-    // outside simulated memory, so the root task itself is free -- the
-    // copies it caused are part of the drain tally.
+    // outside simulated memory, so scanning them is free -- the copies it
+    // caused are part of the drain tally.
     memsim::HybridMemory &Mem = H.memory();
-    Event.RootTaskNs = 0.0;
     Event.DramToYoungTaskNs = Mem.flushShard(DramCards);
     Event.NvmToYoungTaskNs = Mem.flushShard(NvmCards);
     GcTally Drain;

@@ -649,16 +649,6 @@ void Heap::storeElemsI64(ObjRef Array, uint32_t FirstIndex, uint32_t Count,
   std::memcpy(&Buffer[Addr], Src, Count * 8ull);
 }
 
-double Heap::peekElemF64(ObjRef Array, uint32_t Index) const {
-  assert(header(Array.addr())->kind() == ObjectKind::PrimArray &&
-         header(Array.addr())->Aux == 8 && "not an 8-byte prim array");
-  assert(Index < header(Array.addr())->Length && "index out of range");
-  uint64_t Addr = Array.addr() + sizeof(ObjectHeader) + Index * 8ull;
-  double V;
-  std::memcpy(&V, &Buffer[Addr], sizeof(V));
-  return V;
-}
-
 void Heap::storeElemF64(ObjRef Array, uint32_t Index, double Value) {
   int64_t Bits;
   std::memcpy(&Bits, &Value, sizeof(Bits));

@@ -269,11 +269,6 @@ public:
   void storeElemsI64(ObjRef Array, uint32_t FirstIndex, uint32_t Count,
                      const int64_t *Src);
 
-  /// Unaccounted element read: the value only, touching neither the cache
-  /// model nor the clock. For capture-phase workers reading stable data
-  /// (broadcast blocks); the accounted read is re-issued at replay.
-  double peekElemF64(ObjRef Array, uint32_t Index) const;
-
   /// Native-region access (accounted, no barrier).
   void nativeWrite(uint64_t Addr, const void *Src, uint64_t Bytes);
   void nativeRead(uint64_t Addr, void *Dst, uint64_t Bytes);

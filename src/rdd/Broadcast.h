@@ -21,7 +21,6 @@
 #define PANTHERA_RDD_BROADCAST_H
 
 #include "heap/Heap.h"
-#include "rdd/Capture.h"
 
 #include <vector>
 
@@ -61,14 +60,7 @@ public:
   }
 
   /// Reads element \p I (an accounted heap access, like a real task's).
-  /// Inside a capture-phase worker the block's bytes are stable, so the
-  /// value is peeked without touching the shared cache model or clock and
-  /// the accounted read is recorded for the serial replay.
   double get(uint32_t I) const {
-    if (CaptureSession *S = ActiveCapture) {
-      S->RootReads.push_back({RootId, I});
-      return H->peekElemF64(H->persistentRoot(RootId), I);
-    }
     return H->loadElemF64(H->persistentRoot(RootId), I);
   }
 

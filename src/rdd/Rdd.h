@@ -47,7 +47,6 @@
 namespace panthera {
 
 namespace support {
-class WorkStealingPool;
 class MetricsRegistry;
 class TraceLog;
 } // namespace support
@@ -277,10 +276,8 @@ struct EngineStats {
 /// The executor + scheduler. One per Runtime.
 class SparkContext {
 public:
-  /// Stages run their per-partition capture phase on \p Pool
-  /// (rdd/Capture.h); results are identical at every worker count.
   SparkContext(heap::Heap &H, gc::AccessMonitor *Monitor,
-               const EngineConfig &Config, support::WorkStealingPool &Pool);
+               const EngineConfig &Config);
   ~SparkContext();
 
   heap::Heap &heapRef() { return H; }
@@ -386,25 +383,6 @@ private:
                          const ShuffleFusion *Fusion = nullptr);
   void materializeWide(const RddRef &R);
   void finishAction();
-
-  //===--- deterministic parallel capture (rdd/Capture.h) -----------------===
-  /// The action an eligible stage feeds; decides which sink is recorded.
-  enum class ActionKind { Count, Reduce, Collect };
-  /// True when \p R's chain is narrow, un-materialized, and source-rooted
-  /// -- the shape capture can model. Thread-count independent.
-  bool captureEligible(const RddRef &R) const;
-  /// Runs the capture phase for every partition in parallel. Returns false
-  /// (all sessions discarded) if any partition aborted capture.
-  bool captureStage(const RddRef &R, ActionKind Kind,
-                    std::vector<CaptureSession> &Sessions);
-  /// Re-executes \p R's function chain for partition \p P against \p S's
-  /// arena. Runs on a pool worker; touches no shared state.
-  void captureStream(const RddRef &R, uint32_t P, CaptureSession &S,
-                     const TupleSink &Sink);
-  /// Serially re-issues one captured partition against the real heap:
-  /// CPU charges, streamed-record counts, tuple allocations, and the
-  /// recorded per-tuple reads, in recorded order.
-  void replayPartition(const CaptureSession &S);
 
   //===--- task-level fault tolerance -------------------------------------===
   /// Runs one per-partition task with retry. \p Body does the work;
@@ -518,7 +496,6 @@ private:
   EngineStats Stats;
   TaskLedger Ledger;
   FaultInjector *Faults = nullptr;
-  support::WorkStealingPool &Pool;
   cluster::Cluster *Clstr = nullptr;
   ActiveClusterShuffle ClusterShuffle;
   support::MetricsRegistry *Metrics = nullptr;

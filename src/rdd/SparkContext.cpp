@@ -12,7 +12,6 @@
 #include "support/Errors.h"
 #include "support/FaultInjector.h"
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
 #include "support/TraceLog.h"
 
 #include <algorithm>
@@ -28,8 +27,6 @@ using namespace panthera;
 using namespace panthera::rdd;
 using heap::GcRoot;
 using heap::ObjRef;
-
-thread_local CaptureSession *panthera::rdd::ActiveCapture = nullptr;
 
 const char *panthera::rdd::opKindName(OpKind K) {
   switch (K) {
@@ -224,9 +221,8 @@ std::vector<SourceRecord> Rdd::collect() const {
 //===----------------------------------------------------------------------===
 
 SparkContext::SparkContext(heap::Heap &H, gc::AccessMonitor *Monitor,
-                           const EngineConfig &Config,
-                           support::WorkStealingPool &Pool)
-    : H(H), Monitor(Monitor), Config(Config), Pool(Pool) {}
+                           const EngineConfig &Config)
+    : H(H), Monitor(Monitor), Config(Config) {}
 
 SparkContext::~SparkContext() = default;
 
@@ -1643,136 +1639,6 @@ void SparkContext::recomputeLostMapOutputs(Buckets &In) {
 }
 
 //===----------------------------------------------------------------------===
-// Deterministic parallel capture (rdd/Capture.h)
-//===----------------------------------------------------------------------===
-
-bool SparkContext::captureEligible(const RddRef &R) const {
-  if (!R || R->Materialized)
-    return false;
-  switch (R->Op) {
-  case OpKind::Source:
-    return R->Source != nullptr;
-  case OpKind::Map:
-  case OpKind::Filter:
-  case OpKind::FlatMap:
-  case OpKind::MapValues:
-    return captureEligible(R->Parents[0]);
-  default:
-    return false;
-  }
-}
-
-void SparkContext::captureStream(const RddRef &R, uint32_t P,
-                                 CaptureSession &S, const TupleSink &Sink) {
-  // Mirrors streamPartition's narrow operators record for record, but
-  // charges CPU and streamed-record counts into the session (merged at
-  // replay) instead of the shared simulator, and allocates tuples in the
-  // session arena via the RddContext capture redirect.
-  RddContext Ctx(H);
-  switch (R->Op) {
-  case OpKind::Source: {
-    const std::vector<SourceRecord> &Rows = (*R->Source)[P];
-    for (const SourceRecord &Row : Rows) {
-      S.CpuNs += Config.PerRecordCpuNs;
-      ++S.Records;
-      Sink(Ctx.makeTuple(Row.Key, Row.Val));
-    }
-    return;
-  }
-  case OpKind::Map:
-    captureStream(R->Parents[0], P, S, [&](ObjRef T) {
-      S.CpuNs += Config.PerRecordCpuNs;
-      Sink(R->Map(Ctx, T));
-    });
-    return;
-  case OpKind::Filter:
-    captureStream(R->Parents[0], P, S, [&](ObjRef T) {
-      S.CpuNs += Config.PerRecordCpuNs;
-      if (R->Filter(Ctx, T))
-        Sink(T);
-    });
-    return;
-  case OpKind::FlatMap:
-    captureStream(R->Parents[0], P, S, [&](ObjRef T) {
-      S.CpuNs += Config.PerRecordCpuNs;
-      R->FlatMap(Ctx, T, Sink);
-    });
-    return;
-  case OpKind::MapValues:
-    captureStream(R->Parents[0], P, S, [&](ObjRef T) {
-      S.CpuNs += Config.PerRecordCpuNs;
-      int64_t K = Ctx.key(T);
-      double V = R->MapValueKey ? R->MapValueKey(K, Ctx.value(T))
-                                : R->MapValue(Ctx.value(T));
-      Sink(Ctx.makeTuple(K, V));
-    });
-    return;
-  default:
-    // captureEligible rejected everything else up front.
-    throw CaptureAbort{};
-  }
-}
-
-bool SparkContext::captureStage(const RddRef &R, ActionKind Kind,
-                                std::vector<CaptureSession> &Sessions) {
-  Sessions.assign(Config.NumPartitions, CaptureSession());
-  auto CaptureOne = [&](size_t P, unsigned) {
-    CaptureSession &S = Sessions[P];
-    CaptureScope Scope(&S);
-    try {
-      switch (Kind) {
-      case ActionKind::Count:
-        captureStream(R, static_cast<uint32_t>(P), S,
-                      [&](ObjRef) { ++S.SinkCount; });
-        break;
-      case ActionKind::Reduce:
-        captureStream(R, static_cast<uint32_t>(P), S, [&](ObjRef T) {
-          RddContext C(H);
-          S.SinkVals.push_back(C.value(T));
-        });
-        break;
-      case ActionKind::Collect:
-        captureStream(R, static_cast<uint32_t>(P), S, [&](ObjRef T) {
-          RddContext C(H);
-          S.SinkRecs.push_back({C.key(T), C.value(T)});
-        });
-        break;
-      }
-    } catch (CaptureAbort &) {
-      S.Aborted = true;
-    } catch (...) {
-      // A user-function failure aborts capture too: the serial rerun hits
-      // the same exception and surfaces it through the ordinary task path.
-      S.Aborted = true;
-    }
-  };
-  Pool.run(Config.NumPartitions, CaptureOne);
-  for (const CaptureSession &S : Sessions)
-    if (S.Aborted)
-      return false;
-  return true;
-}
-
-void SparkContext::replayPartition(const CaptureSession &S) {
-  RddContext Ctx(H);
-  memsim::HybridMemory &Mem = H.memory();
-  Mem.addCpuWorkNs(S.CpuNs);
-  Stats.RecordsStreamed += S.Records;
-  // Broadcast reads the user functions peeked during capture, re-issued
-  // through the persistent-root table (the block may have moved if a
-  // replayed allocation GCed).
-  for (const CaptureSession::RootRead &R : S.RootReads)
-    (void)H.loadElemF64(H.persistentRoot(R.RootId), R.Index);
-  for (const CaptureSession::Alloc &A : S.Allocs) {
-    ObjRef T = Ctx.makeTuple(A.Key, A.Val);
-    for (uint32_t I = 0; I != A.KeyReads; ++I)
-      (void)H.loadI64(T, 0);
-    for (uint32_t I = 0; I != A.ValReads; ++I)
-      (void)H.loadF64(T, 8);
-  }
-}
-
-//===----------------------------------------------------------------------===
 // Actions
 //===----------------------------------------------------------------------===
 
@@ -1789,25 +1655,11 @@ int64_t SparkContext::runCount(const RddRef &R) {
   prepare(R, MemTag::None);
   StageScope Span(*this, "count action");
   int64_t Total = 0;
-  // Fault-free narrow source-rooted stages run the parallel capture phase,
-  // then replay serially in partition order; everything else streams
-  // serially as before. Either way the result and the simulated clock are
-  // independent of the worker count.
-  std::vector<CaptureSession> Sessions;
-  bool Captured = !Faults && captureEligible(R) &&
-                  captureStage(R, ActionKind::Count, Sessions);
   for (uint32_t P = 0; P != Config.NumPartitions; ++P) {
     int64_t Snapshot = Total;
     runTask(
         "count action", R->Id, P,
-        [&] {
-          if (Captured) {
-            replayPartition(Sessions[P]);
-            Total += static_cast<int64_t>(Sessions[P].SinkCount);
-          } else {
-            streamPartition(R, P, [&](ObjRef) { ++Total; });
-          }
-        },
+        [&] { streamPartition(R, P, [&](ObjRef) { ++Total; }); },
         [&] { Total = Snapshot; });
   }
   finishAction();
@@ -1821,31 +1673,17 @@ double SparkContext::runReduce(const RddRef &R, const CombineFn &Fn) {
   RddContext Ctx(H);
   bool Seeded = false;
   double Acc = 0.0;
-  // Parallel capture records each partition's sink values in stream
-  // order; the fold below then combines them in exactly the serial
-  // left-fold order, so the result is bit-identical at any thread count.
-  std::vector<CaptureSession> Sessions;
-  bool Captured = !Faults && captureEligible(R) &&
-                  captureStage(R, ActionKind::Reduce, Sessions);
   for (uint32_t P = 0; P != Config.NumPartitions; ++P) {
     double AccSnapshot = Acc;
     bool SeededSnapshot = Seeded;
     runTask(
         "reduce action", R->Id, P,
         [&] {
-          if (Captured) {
-            replayPartition(Sessions[P]);
-            for (double V : Sessions[P].SinkVals) {
-              Acc = Seeded ? Fn(Acc, V) : V;
-              Seeded = true;
-            }
-          } else {
-            streamPartition(R, P, [&](ObjRef T) {
-              double V = Ctx.value(T);
-              Acc = Seeded ? Fn(Acc, V) : V;
-              Seeded = true;
-            });
-          }
+          streamPartition(R, P, [&](ObjRef T) {
+            double V = Ctx.value(T);
+            Acc = Seeded ? Fn(Acc, V) : V;
+            Seeded = true;
+          });
         },
         [&] {
           Acc = AccSnapshot;
@@ -1862,23 +1700,14 @@ std::vector<SourceRecord> SparkContext::runCollect(const RddRef &R) {
   StageScope Span(*this, "collect action");
   RddContext Ctx(H);
   std::vector<SourceRecord> Out;
-  std::vector<CaptureSession> Sessions;
-  bool Captured = !Faults && captureEligible(R) &&
-                  captureStage(R, ActionKind::Collect, Sessions);
   for (uint32_t P = 0; P != Config.NumPartitions; ++P) {
     size_t Snapshot = Out.size();
     runTask(
         "collect action", R->Id, P,
         [&] {
-          if (Captured) {
-            replayPartition(Sessions[P]);
-            for (const CaptureSession::KV &Rec : Sessions[P].SinkRecs)
-              Out.push_back({Rec.Key, Rec.Val});
-          } else {
-            streamPartition(R, P, [&](ObjRef T) {
-              Out.push_back({Ctx.key(T), Ctx.value(T)});
-            });
-          }
+          streamPartition(R, P, [&](ObjRef T) {
+            Out.push_back({Ctx.key(T), Ctx.value(T)});
+          });
         },
         [&] { Out.resize(Snapshot); });
   }

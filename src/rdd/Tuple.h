@@ -25,32 +25,19 @@
 #define PANTHERA_RDD_TUPLE_H
 
 #include "heap/Heap.h"
-#include "rdd/Capture.h"
 
 namespace panthera {
 namespace rdd {
 
 /// Element-level view over the managed heap for user functions.
-///
-/// During a parallel capture pass (rdd/Capture.h) every operation is
-/// redirected to the thread's arena instead of the heap: tuples become
-/// arena records, key/value reads are counted for exact replay, and any
-/// operation the arena cannot model throws CaptureAbort so the stage
-/// falls back to the serial path.
 class RddContext {
 public:
   explicit RddContext(heap::Heap &H) : H(H) {}
 
-  heap::Heap &heap() {
-    if (ActiveCapture)
-      throw CaptureAbort{};
-    return H;
-  }
+  heap::Heap &heap() { return H; }
 
   /// Allocates a (key, value) tuple with a null payload reference.
   heap::ObjRef makeTuple(int64_t Key, double Value) {
-    if (CaptureSession *S = ActiveCapture)
-      return S->makeTuple(Key, Value);
     heap::ObjRef T = H.allocPlain(/*NumRefs=*/1, /*PayloadBytes=*/16);
     H.storeI64(T, 0, Key);
     H.storeF64(T, 8, Value);
@@ -61,8 +48,6 @@ public:
   /// internally across the allocation.
   heap::ObjRef makeTupleWithRef(int64_t Key, double Value,
                                 heap::ObjRef Payload) {
-    if (ActiveCapture)
-      throw CaptureAbort{};
     heap::GcRoot Saved(H, Payload);
     heap::ObjRef T = H.allocPlain(/*NumRefs=*/1, /*PayloadBytes=*/16);
     H.storeI64(T, 0, Key);
@@ -71,21 +56,9 @@ public:
     return T;
   }
 
-  int64_t key(heap::ObjRef Tuple) {
-    if (CaptureSession *S = ActiveCapture)
-      return S->key(Tuple);
-    return H.loadI64(Tuple, 0);
-  }
-  double value(heap::ObjRef Tuple) {
-    if (CaptureSession *S = ActiveCapture)
-      return S->value(Tuple);
-    return H.loadF64(Tuple, 8);
-  }
-  heap::ObjRef payload(heap::ObjRef Tuple) {
-    if (ActiveCapture)
-      throw CaptureAbort{};
-    return H.loadRef(Tuple, 0);
-  }
+  int64_t key(heap::ObjRef Tuple) { return H.loadI64(Tuple, 0); }
+  double value(heap::ObjRef Tuple) { return H.loadF64(Tuple, 8); }
+  heap::ObjRef payload(heap::ObjRef Tuple) { return H.loadRef(Tuple, 0); }
 
   /// Length of a tuple's CompactBuffer payload (0 for a null payload).
   uint32_t bufferLength(heap::ObjRef Tuple) {
@@ -98,8 +71,6 @@ public:
   /// buffer -> element object -> payload), so reading an element is a
   /// pointer chase; primitive arrays are also accepted.
   double bufferValue(heap::ObjRef Buffer, uint32_t I) {
-    if (ActiveCapture)
-      throw CaptureAbort{};
     if (H.header(Buffer.addr())->kind() == heap::ObjectKind::RefArray) {
       heap::ObjRef Box = H.loadRef(Buffer, I);
       return H.loadF64(Box, 0);
@@ -109,8 +80,6 @@ public:
 
   /// Allocates a boxed double (Plain object, 8-byte payload).
   heap::ObjRef makeBox(double Value) {
-    if (ActiveCapture)
-      throw CaptureAbort{};
     heap::ObjRef Box = H.allocPlain(/*NumRefs=*/0, /*PayloadBytes=*/8);
     H.storeF64(Box, 0, Value);
     return Box;

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A shared work-stealing thread pool in the shape of HotSpot's GC task
+/// A work-stealing thread pool in the shape of HotSpot's GC task
 /// manager: a fixed set of workers, per-worker Chase-Lev deques, and two
 /// entry points -- run() for a work-stealing parallel loop over task
 /// indices, and runOnWorkers() for barrier-style parallel regions where
@@ -145,8 +145,8 @@ private:
   std::vector<std::unique_ptr<Buffer>> Retired;
 };
 
-/// The shared pool. One instance per Runtime, sized by
-/// RuntimeConfig::NumThreads; injected into SparkContext and Collector.
+/// The GC worker pool. One instance per Runtime, sized by
+/// RuntimeConfig::NumThreads; injected into the Collector.
 class WorkStealingPool {
 public:
   /// \p NumWorkers includes the caller; 0 is treated as 1.

@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
+#include "rdd/Broadcast.h"
 #include "support/Errors.h"
 #include "support/FaultInjector.h"
 
@@ -19,6 +20,7 @@
 #include <atomic>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -314,6 +316,70 @@ TEST_F(FaultInjectionTest, ChildSeedsAreDecorrelated) {
   // Stable across injector instances (it is a pure function of the plan).
   FaultInjector Again(Plan);
   EXPECT_EQ(Inj.childSeed(3), Again.childSeed(3));
+}
+
+/// Everything a run exports, for byte comparison.
+struct Exports {
+  std::string Metrics;
+  std::string Trace;
+};
+
+enum class PlanAction { Count, Reduce, Collect };
+
+/// Source -> map reading a broadcast -> filter -> \p Action on a fresh
+/// Panthera runtime under \p Plan.
+Exports runBroadcastPipeline(const FaultPlan &Plan, PlanAction Action) {
+  core::RuntimeConfig Config;
+  Config.Policy = gc::PolicyKind::Panthera;
+  Config.HeapPaperGB = 16;
+  Config.Engine.NumPartitions = 8;
+  Config.NumThreads = 4;
+  Config.Faults = Plan;
+  core::Runtime RT(Config);
+
+  SourceData Data(8);
+  for (int64_t I = 0; I != 40000; ++I)
+    Data[static_cast<size_t>(I) % Data.size()].push_back(
+        {I, static_cast<double>(I % 991) * 0.25});
+  Broadcast B(RT.heap(), {1.0, 2.0, 3.0, 4.0});
+  Rdd Kept = RT.ctx()
+                 .source(&Data)
+                 .map([&B](RddContext &C, ObjRef T) {
+                   int64_t K = C.key(T);
+                   return C.makeTuple(
+                       K, C.value(T) * B.get(static_cast<uint32_t>(K % 4)));
+                 })
+                 .filter([](RddContext &C, ObjRef T) {
+                   return C.key(T) % 3 != 0;
+                 });
+  switch (Action) {
+  case PlanAction::Count:
+    EXPECT_EQ(Kept.count(), 26666);
+    break;
+  case PlanAction::Reduce:
+    Kept.reduce([](double A, double V) { return A + V; });
+    break;
+  case PlanAction::Collect:
+    EXPECT_EQ(Kept.collect().size(), 26666u);
+    break;
+  }
+  return {RT.metricsJson(), RT.traceJson()};
+}
+
+// Frozen repro: a fault plan whose only site never fires must leave every
+// export byte-identical to a run with no plan at all.
+TEST_F(FaultInjectionTest, PlanThatNeverFiresChangesNoExport) {
+  FaultPlan Idle;
+  parseFaultSpec("task:nth=1000000000", Idle);
+  ASSERT_TRUE(Idle.enabled());
+  for (PlanAction A :
+       {PlanAction::Count, PlanAction::Reduce, PlanAction::Collect}) {
+    SCOPED_TRACE(static_cast<int>(A));
+    Exports Clean = runBroadcastPipeline(FaultPlan{}, A);
+    Exports WithPlan = runBroadcastPipeline(Idle, A);
+    EXPECT_EQ(Clean.Metrics, WithPlan.Metrics);
+    EXPECT_EQ(Clean.Trace, WithPlan.Trace);
+  }
 }
 
 } // namespace

@@ -137,8 +137,8 @@ TEST(ThreadCountInvariance, KMeansIsByteIdenticalAcrossThreadCounts) {
 
 //===----------------------------------------------------------------------===
 // Fault-tolerance pipeline: injection + recovery stay deterministic at
-// every thread count (fault runs execute stages serially by design, but
-// the GC underneath them still runs on the pool).
+// every thread count (every run executes its stages serially; the GC
+// underneath them runs on the pool).
 //===----------------------------------------------------------------------===
 
 SourceData makeData(int64_t N, uint32_t Partitions = 4) {

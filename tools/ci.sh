@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 CI: configure, build, and run the full test suite in the plain
 # configuration, again under AddressSanitizer + UBSan
-# (-DPANTHERA_SANITIZE=address,undefined), and again under ThreadSanitizer
-# (-DPANTHERA_SANITIZE=thread) with PANTHERA_THREADS=8 so the shared
-# work-stealing pool, the parallel scavenge, and the parallel mark run
-# with real worker threads under the race detector. Run from the
-# repository root.
+# (-DPANTHERA_SANITIZE=address,undefined; any UBSan report is fatal), and
+# again under ThreadSanitizer (-DPANTHERA_SANITIZE=thread) with
+# PANTHERA_THREADS=8 so the work-stealing pool, the parallel scavenge, and
+# the parallel mark run with real worker threads under the race detector.
+# Run from the repository root.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

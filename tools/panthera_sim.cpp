@@ -30,9 +30,10 @@
 /// fetch. Fault runs exit 2 if the workload still fails after the staged
 /// fallback and retries.
 ///
-/// --threads=N sets the worker-thread count shared by stage execution and
-/// the parallel collector (docs/parallelism.md). 0 (the default) means
-/// auto: $PANTHERA_THREADS if set, otherwise the hardware thread count.
+/// --threads=N sets the worker-thread count of the parallel collector's
+/// scavenge and mark (docs/parallelism.md); stages run serially. 0 (the
+/// default) means auto: $PANTHERA_THREADS if set, otherwise the hardware
+/// thread count.
 /// Results and simulated time/energy are identical at every N; only
 /// wall-clock time changes.
 ///
@@ -298,8 +299,8 @@ int main(int Argc, char **Argv) {
           "  --ratio=F          DRAM : total memory (default 0.333)\n"
           "  --nursery=F        nursery fraction of the heap\n"
           "  --scale=F          dataset scale factor (default 1.0)\n"
-          "  --threads=N        worker threads shared by stage execution\n"
-          "                     and the parallel GC; 0 = auto from\n"
+          "  --threads=N        worker threads of the parallel GC\n"
+          "                     (scavenge and mark); 0 = auto from\n"
           "                     $PANTHERA_THREADS or the hardware thread\n"
           "                     count. Output is identical at every N;\n"
           "                     only wall-clock time changes.\n"
@@ -578,16 +579,13 @@ int main(int Argc, char **Argv) {
   }
 
   if (GcLog) {
-    std::printf("\ngc log:\n%4s %-6s %9s %9s %8s %8s %8s %8s\n", "#",
-                "kind", "t(ms)", "dur(us)", "root", "d2y", "n2y",
-                "drain");
+    std::printf("\ngc log:\n%4s %-6s %9s %9s %8s %8s %8s\n", "#", "kind",
+                "t(ms)", "dur(us)", "d2y", "n2y", "drain");
     unsigned Index = 0;
     for (const gc::GcEvent &E : RT.collector().eventLog())
-      std::printf("%4u %-6s %9.2f %9.1f %8.1f %8.1f %8.1f %8.1f  %s\n",
-                  Index++,
+      std::printf("%4u %-6s %9.2f %9.1f %8.1f %8.1f %8.1f  %s\n", Index++,
                   E.IncStep ? "step" : E.Major ? "major" : "minor",
-                  E.StartNs / 1e6,
-                  E.DurationNs / 1e3, E.RootTaskNs / 1e3,
+                  E.StartNs / 1e6, E.DurationNs / 1e3,
                   E.DramToYoungTaskNs / 1e3, E.NvmToYoungTaskNs / 1e3,
                   E.DrainNs / 1e3, E.Reason);
   }
