@@ -11,6 +11,7 @@
 #include "support/TraceLog.h"
 
 #include <cstdio>
+#include <new>
 
 using namespace panthera;
 using namespace panthera::heap;
@@ -63,7 +64,9 @@ Heap::Heap(const HeapConfig &Config, memsim::HybridMemory &Mem)
   if (Cursor > Total)
     throw EngineError("heap misconfiguration: simulated memory smaller "
                       "than configured heap");
-  Buffer.assign(Total, 0);
+  Buffer.reset(static_cast<uint8_t *>(std::calloc(Total, 1)));
+  if (!Buffer)
+    throw std::bad_alloc();
 
   // Back each range with its device. The nursery is always DRAM (§4.1).
   memsim::AddressMap &Map = Mem.map();

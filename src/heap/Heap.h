@@ -29,8 +29,10 @@
 #include "heap/Space.h"
 #include "memsim/HybridMemory.h"
 
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <vector>
 
 namespace panthera {
@@ -448,7 +450,16 @@ private:
   support::TraceLog *TraceSink = nullptr;
   bool InPressureHandler = false; ///< Re-entrancy guard for stage 3.
 
-  std::vector<uint8_t> Buffer;
+  /// Backing bytes of the whole simulated memory, from calloc. glibc
+  /// serves a request above its mmap threshold (at most 32 MB; a 64 GB
+  /// paper heap is ~80 MB here) with fresh zero pages from mmap, so only
+  /// the pages a run touches are ever faulted in; zero-filling the buffer
+  /// would write every page up front. Smaller requests may reuse freed
+  /// memory, which calloc clears.
+  struct FreeBytes {
+    void operator()(uint8_t *P) const { std::free(P); }
+  };
+  std::unique_ptr<uint8_t[], FreeBytes> Buffer;
   Space Eden, From, To;
   Space OldDramSpace, OldNvmSpace;
   Space NativeSpace;

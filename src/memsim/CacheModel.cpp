@@ -6,101 +6,86 @@
 
 #include "memsim/CacheModel.h"
 
-#include <cassert>
-#include <cstddef>
+#include <bit>
 
 using namespace panthera::memsim;
 
-static uint32_t roundUpToPowerOfTwo(uint32_t V) {
-  uint32_t P = 1;
-  while (P < V)
-    P <<= 1;
-  return P;
-}
-
 CacheModel::CacheModel(const CacheConfig &Config)
-    : LineBytes(Config.LineBytes), Associativity(Config.Associativity) {
-  assert(Config.CapacityBytes >= Config.LineBytes * Config.Associativity &&
+    : Associativity(Config.Associativity) {
+  assert(Config.CapacityBytes >= CacheLineBytes * Config.Associativity &&
          "cache must hold at least one set");
   uint32_t RawSets = static_cast<uint32_t>(
-      Config.CapacityBytes / (Config.LineBytes * Config.Associativity));
+      Config.CapacityBytes / (CacheLineBytes * Config.Associativity));
   // Power-of-two set count keeps indexing a mask operation.
-  NumSets = roundUpToPowerOfTwo(RawSets == 0 ? 1 : RawSets);
-  Lines.assign(static_cast<size_t>(NumSets) * Associativity, Line());
-  // Way-predictor table: big enough that every resident line can keep a
-  // live hint (next power of two above the line count).
-  uint32_t HintSlots = roundUpToPowerOfTwo(NumSets * Associativity);
-  Hints.assign(HintSlots, Hint());
-  HintMask = HintSlots - 1;
+  NumSets = std::bit_ceil(RawSets == 0 ? 1u : RawSets);
+  const size_t NumLines = static_cast<size_t>(NumSets) * Associativity;
+  Tags.assign(NumLines, NoLine);
+  LastUse.assign(NumLines, 0);
+  Dirty.assign(NumLines, 0);
+  // At least twice as many slots as lines: the load factor stays <= 1/2,
+  // so a probe chain always ends at an empty slot.
+  const size_t Slots = std::bit_ceil(2 * NumLines);
+  Index.assign(Slots, Slot());
+  IndexMask = Slots - 1;
+  IndexShift = 64 - static_cast<unsigned>(std::countr_zero(Slots));
 }
 
-CacheResult CacheModel::access(uint64_t Addr, bool IsWrite, uint32_t Repeat) {
-  return accessLine(Addr / LineBytes, IsWrite, Repeat);
-}
-
-CacheResult CacheModel::accessLine(uint64_t LineAddr, bool IsWrite,
-                                   uint32_t Repeat) {
-  uint32_t Set = static_cast<uint32_t>(LineAddr & (NumSets - 1));
-  Line *Ways = &Lines[static_cast<size_t>(Set) * Associativity];
-  ++UseClock;
+CacheResult CacheModel::miss(uint64_t LineAddr, bool IsWrite,
+                             uint32_t Repeat) {
+  ++Misses;
+  // Evict the least-recently-used way: strict-less argmin, so the lowest
+  // way wins ties, and empty ways (LastUse 0) fill first. One branchless
+  // pass over the set's contiguous LastUse row.
+  const size_t Base =
+      static_cast<size_t>(LineAddr & (NumSets - 1)) * Associativity;
+  const uint64_t *Row = &LastUse[Base];
+  uint32_t Way = 0;
+  uint64_t Oldest = Row[0];
+  for (uint32_t W = 1; W != Associativity; ++W) {
+    const bool Older = Row[W] < Oldest;
+    Oldest = Older ? Row[W] : Oldest;
+    Way = Older ? W : Way;
+  }
+  const size_t Victim = Base + Way;
 
   CacheResult Result;
-  // Hit path: bump recency and possibly mark dirty.
-  for (uint32_t W = 0; W != Associativity; ++W) {
-    if (Ways[W].Tag == LineAddr) {
-      Ways[W].LastUse = UseClock;
-      Ways[W].Dirty |= IsWrite;
-      ++Hits;
-      Hints[LineAddr & HintMask] = {LineAddr, W};
-      Result.Hit = true;
-      // Coalesced back-to-back re-touches: each would be a guaranteed hit
-      // (the line is MRU and nothing intervenes), so the only state it
-      // changes is the clocks and the hit counter.
-      if (Repeat != 0) {
-        UseClock += Repeat;
-        Ways[W].LastUse = UseClock;
-        Hits += Repeat;
-      }
-      return Result;
+  if (Tags[Victim] != NoLine) {
+    if (Dirty[Victim]) {
+      Result.Writeback = true;
+      Result.VictimLineAddr = Tags[Victim] * CacheLineBytes;
     }
+    eraseAt(findSlot(Tags[Victim]));
   }
+  // Probe after the erase: backward shifting may have moved the hole
+  // that ends this line's chain.
+  Slot &S = Index[findSlot(LineAddr)];
+  S.Line = LineAddr;
+  S.Way = static_cast<uint32_t>(Victim);
 
-  // Miss: fill the least-recently-used way (empty ways have LastUse 0 and
-  // thus lose ties to any used way, so they fill first).
-  ++Misses;
-  uint32_t VictimWay = 0;
-  for (uint32_t W = 1; W != Associativity; ++W)
-    if (Ways[W].LastUse < Ways[VictimWay].LastUse)
-      VictimWay = W;
-
-  Line &Victim = Ways[VictimWay];
-  if (Victim.Tag != ~0ull && Victim.Dirty) {
-    Result.Writeback = true;
-    Result.VictimLineAddr = Victim.Tag * LineBytes;
-  }
-  Victim.Tag = LineAddr;
-  Victim.LastUse = UseClock;
-  Victim.Dirty = IsWrite;
-  Hints[LineAddr & HintMask] = {LineAddr, VictimWay};
-  if (Repeat != 0) {
-    UseClock += Repeat;
-    Victim.LastUse = UseClock;
-    Hits += Repeat;
-  }
+  Tags[Victim] = LineAddr;
+  UseClock += 1 + static_cast<uint64_t>(Repeat);
+  LastUse[Victim] = UseClock;
+  Dirty[Victim] = IsWrite;
   return Result;
 }
 
-CacheResult CacheModel::accessHinted(uint64_t Addr, bool IsWrite,
-                                     uint32_t Repeat) {
-  return accessLineHinted(Addr / LineBytes, IsWrite, Repeat);
-}
-
-void CacheModel::reset() {
-  for (Line &L : Lines)
-    L = Line();
-  for (Hint &H : Hints)
-    H = Hint();
-  UseClock = 0;
-  Hits = 0;
-  Misses = 0;
+void CacheModel::eraseAt(size_t I) {
+  size_t J = I;
+  while (true) {
+    Index[I].Line = NoLine;
+    while (true) {
+      J = (J + 1) & IndexMask;
+      if (Index[J].Line == NoLine)
+        return;
+      size_t Home = slotOf(Index[J].Line);
+      // An entry whose home lies cyclically in (I, J] is still reachable
+      // with the hole at I; keep scanning past it.
+      bool Reachable =
+          I <= J ? (Home > I && Home <= J) : (Home > I || Home <= J);
+      if (!Reachable)
+        break;
+    }
+    Index[I] = Index[J];
+    I = J;
+  }
 }

@@ -16,6 +16,12 @@
 /// to a 20 KB 20-way cache, following the repository-wide 1 GB -> 1 MB scale
 /// so that the cache:heap ratio matches the paper's.
 ///
+/// Lines are found through an exact residency index (docs/memsim.md): an
+/// open-addressing line -> way table holding exactly the resident lines, so
+/// both a hit and a miss are known after one probe and no tag scan runs.
+/// Outcomes, LRU order, counters, and writeback victims are those of the
+/// plain scan in ScanCacheModel.h.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PANTHERA_MEMSIM_CACHEMODEL_H
@@ -23,6 +29,7 @@
 
 #include "memsim/MemoryTechnology.h"
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -30,11 +37,11 @@
 namespace panthera {
 namespace memsim {
 
-/// Configuration of the modeled last-level cache.
+/// Configuration of the modeled last-level cache. Lines are always
+/// CacheLineBytes wide, as everywhere else in the simulator.
 struct CacheConfig {
   uint64_t CapacityBytes = 20 * 1024; // 20 MB / 1024 (Table 3, scaled)
   uint32_t Associativity = 20;
-  uint32_t LineBytes = CacheLineBytes;
 };
 
 /// Outcome of a cache access, with any writeback the access displaced.
@@ -54,87 +61,88 @@ public:
   /// \p Repeat coalesces that many additional back-to-back accesses to the
   /// same line into the bookkeeping of this call. Because the line is MRU
   /// in its set after the first touch and nothing intervenes, each repeat
-  /// is a guaranteed hit; the coalesced update (UseClock += Repeat,
-  /// LastUse = final clock, Hits += Repeat, Dirty |= IsWrite) is
+  /// is a guaranteed hit; the coalesced update (UseClock += 1 + Repeat,
+  /// LastUse = final clock, Dirty |= IsWrite, Repeat more hits) is
   /// bit-identical to issuing the accesses one at a time. The batched
   /// range path in HybridMemory uses this for element runs that share a
   /// cache line; repeats never generate traffic, so the caller still
   /// charges Repeat hit costs.
-  CacheResult access(uint64_t Addr, bool IsWrite, uint32_t Repeat = 0);
-
-  /// access() accelerated by a way-predictor hint: a direct-mapped
-  /// LineAddr -> way table remembers where a line was last found, and a
-  /// verified prediction (the way still holds the tag) takes the hit path
-  /// without scanning the set. The hint is consulted before use and never
-  /// trusted blind, so hit/miss outcomes, LRU state, counters, and
-  /// writeback victims are exactly access()'s; a stale or colliding hint
-  /// just falls back to the scan. Used by HybridMemory's batched range
-  /// path; the per-line reference path keeps the plain scan.
-  CacheResult accessHinted(uint64_t Addr, bool IsWrite, uint32_t Repeat = 0);
-
-  /// accessHinted() addressed by line number (Addr / LineBytes) for
-  /// callers that already walk lines -- skips re-deriving the line from
-  /// the byte address (a hardware divide: LineBytes is a runtime knob).
-  /// Defined inline: this is the innermost probe of the batched range
-  /// path and the verified-prediction case must not pay a call.
-  CacheResult accessLineHinted(uint64_t LineAddr, bool IsWrite,
-                               uint32_t Repeat = 0) {
-    const Hint &H = Hints[LineAddr & HintMask];
-    if (H.Tag == LineAddr) {
-      uint32_t Set = static_cast<uint32_t>(LineAddr & (NumSets - 1));
-      Line &L = Lines[static_cast<size_t>(Set) * Associativity + H.Way];
-      if (L.Tag == LineAddr) {
-        // Verified prediction: perform exactly the scan's hit bookkeeping.
-        ++UseClock;
-        L.LastUse = UseClock;
-        L.Dirty |= IsWrite;
-        ++Hits;
-        CacheResult Result;
-        Result.Hit = true;
-        if (Repeat != 0) {
-          UseClock += Repeat;
-          L.LastUse = UseClock;
-          Hits += Repeat;
-        }
-        return Result;
-      }
-    }
-    return accessLine(LineAddr, IsWrite, Repeat);
+  CacheResult access(uint64_t Addr, bool IsWrite, uint32_t Repeat = 0) {
+    return accessLine(Addr / CacheLineBytes, IsWrite, Repeat);
   }
 
-  /// Drops every line (e.g. between independent experiment runs).
-  void reset();
+  /// access() addressed by line number (Addr / CacheLineBytes). The hit
+  /// is inline -- one index probe plus the LRU/dirty bookkeeping -- and
+  /// only a miss leaves the caller.
+  CacheResult accessLine(uint64_t LineAddr, bool IsWrite,
+                         uint32_t Repeat = 0) {
+    assert(LineAddr != NoLine && "line address collides with the sentinel");
+    const Slot &S = Index[findSlot(LineAddr)];
+    if (S.Line != LineAddr)
+      return miss(LineAddr, IsWrite, Repeat);
+    UseClock += 1 + static_cast<uint64_t>(Repeat);
+    LastUse[S.Way] = UseClock;
+    if (IsWrite)
+      Dirty[S.Way] = 1;
+    CacheResult Result;
+    Result.Hit = true;
+    return Result;
+  }
 
-  uint64_t hits() const { return Hits; }
+  /// Every access, repeats included, advances UseClock by one tick, and
+  /// each tick is a hit unless it is a miss's first touch.
+  uint64_t hits() const { return UseClock - Misses; }
   uint64_t misses() const { return Misses; }
-  uint32_t numSets() const { return NumSets; }
 
 private:
-  struct Line {
-    uint64_t Tag = ~0ull; // line address; ~0 marks an empty way
-    uint32_t LastUse = 0;
-    bool Dirty = false;
-  };
+  /// Tag of an empty way and key of an empty index slot. No line address
+  /// reaches it: lines are byte addresses divided by CacheLineBytes.
+  static constexpr uint64_t NoLine = ~0ull;
 
-  /// The scan implementation behind every public entry point, addressed
-  /// by line number.
-  CacheResult accessLine(uint64_t LineAddr, bool IsWrite, uint32_t Repeat);
-
-  /// One way-predictor entry: the line last seen at Way in its set.
-  struct Hint {
-    uint64_t Tag = ~0ull;
+  /// Residency-index entry: a resident line and its position in the way
+  /// arrays (Set * Associativity + way). Line == NoLine marks an empty
+  /// slot.
+  struct Slot {
+    uint64_t Line = NoLine;
     uint32_t Way = 0;
   };
 
-  uint32_t LineBytes;
+  /// Fills \p LineAddr into its set's LRU way, evicting (and reporting)
+  /// the previous occupant.
+  CacheResult miss(uint64_t LineAddr, bool IsWrite, uint32_t Repeat);
+
+  /// Fibonacci-hash home slot of \p Line.
+  size_t slotOf(uint64_t Line) const {
+    return static_cast<size_t>((Line * 0x9E3779B97F4A7C15ull) >> IndexShift);
+  }
+
+  /// Slot for \p Line: its live slot, or the empty slot that ends its
+  /// probe chain. The index holds at most half as many lines as it has
+  /// slots, so chains stay short and always end.
+  size_t findSlot(uint64_t Line) const {
+    size_t S = slotOf(Line);
+    while (Index[S].Line != Line && Index[S].Line != NoLine)
+      S = (S + 1) & IndexMask;
+    return S;
+  }
+
+  /// Deletes the entry at slot \p I by backward-shifting the rest of its
+  /// probe cluster (no tombstones, so findSlot stays a two-test loop).
+  void eraseAt(size_t I);
+
   uint32_t Associativity;
   uint32_t NumSets;
-  uint32_t UseClock = 0;
-  uint64_t Hits = 0;
+  uint64_t UseClock = 0;
   uint64_t Misses = 0;
-  std::vector<Line> Lines; // NumSets x Associativity, row-major
-  std::vector<Hint> Hints; // power-of-two, direct mapped by line address
-  uint64_t HintMask = 0;
+  /// The ways, NumSets x Associativity row-major, as struct-of-arrays so
+  /// victim selection reads one contiguous LastUse row.
+  std::vector<uint64_t> Tags;    // line address; NoLine marks an empty way
+  std::vector<uint64_t> LastUse; // UseClock at last touch; 0 = never used
+  std::vector<uint8_t> Dirty;
+  /// Residency index: power-of-two, linear probing, >= 2x the line count.
+  std::vector<Slot> Index;
+  size_t IndexMask = 0;
+  unsigned IndexShift = 0;
 };
 
 } // namespace memsim

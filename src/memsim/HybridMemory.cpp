@@ -17,8 +17,8 @@ using namespace panthera::memsim;
 HybridMemory::HybridMemory(uint64_t TotalBytes, const MemoryTechnology &Tech,
                            const CacheConfig &CacheCfg, double EpochNs,
                            support::MetricsRegistry *Reg)
-    : Map(TotalBytes), Tech(Tech), Cache(CacheCfg), EpochNs(EpochNs),
-      Prefetch(Tech.PrefetchStreams) {
+    : Map(TotalBytes), Tech(Tech), Cache(CacheCfg), CacheCfg(CacheCfg),
+      EpochNs(EpochNs), Prefetch(Tech.PrefetchStreams) {
   // recordTraffic divides by EpochNs and casts the quotient to size_t; a
   // zero, negative, or non-finite epoch turns that cast into undefined
   // behavior, so reject it at the source.
@@ -34,6 +34,21 @@ HybridMemory::HybridMemory(uint64_t TotalBytes, const MemoryTechnology &Tech,
   Bw[1] = &Registry->series("memsim.bandwidth.dram_write_bytes");
   Bw[2] = &Registry->series("memsim.bandwidth.nvm_read_bytes");
   Bw[3] = &Registry->series("memsim.bandwidth.nvm_write_bytes");
+  for (unsigned A = 0; A != NumActors; ++A)
+    HitNs[A] = Tech.CacheHitNs / Tech.mlp(static_cast<Actor>(A));
+  updateSlowPath();
+}
+
+void HybridMemory::setAccessPath(AccessPathMode M) {
+  PANTHERA_CHECK(cacheHits() == 0 && cacheMisses() == 0,
+                 "the memsim access path must be selected before the first "
+                 "access");
+  Path = M;
+  if (M == AccessPathMode::PerLine)
+    Reference = std::make_unique<ScanCacheModel>(CacheCfg);
+  else
+    Reference.reset();
+  updateSlowPath();
 }
 
 std::vector<EpochSample> HybridMemory::bandwidthTrace() const {
@@ -65,9 +80,8 @@ void HybridMemory::recordTraffic(uint64_t LineAddr, bool IsWrite) {
   Bw[Idx]->addAt(Epoch, static_cast<double>(CacheLineBytes));
 }
 
-void HybridMemory::onAccessRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
-                                 uint64_t ElemBytes) {
-  assert(Bytes > 0 && "zero-size access");
+void HybridMemory::accessOutOfLine(uint64_t Addr, uint64_t Bytes,
+                                   bool IsWrite, uint64_t ElemBytes) {
   assert((ElemBytes == 0 || Bytes % ElemBytes == 0) &&
          "range must be a whole number of elements");
   // Hotness profiling taps the accounted stream here, ahead of the path
@@ -83,27 +97,19 @@ void HybridMemory::onAccessRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
     perLineRange(Addr, Bytes, IsWrite, ElemBytes);
     return;
   }
-  // Single-line ranges -- every mutator field access -- skip the range
-  // walker and its per-call cost-constant setup entirely.
-  const uint64_t FirstLine = Addr / CacheLineBytes;
-  if (FirstLine == (Addr + Bytes - 1) / CacheLineBytes) {
-    const uint64_t E = ElemBytes ? ElemBytes : Bytes;
-    fastOne(FirstLine, IsWrite, static_cast<uint32_t>(Bytes / E));
+  const uint64_t Line = Addr / CacheLineBytes;
+  if (Line != (Addr + Bytes - 1) / CacheLineBytes) {
+    fastRange(Addr, Bytes, IsWrite, ElemBytes);
     return;
   }
-  fastRange(Addr, Bytes, IsWrite, ElemBytes);
+  touchLine(Line, IsWrite,
+            ElemBytes ? static_cast<uint32_t>(Bytes / ElemBytes) : 1u);
 }
 
-void HybridMemory::fastOne(uint64_t Line, bool IsWrite, uint32_t Touches) {
-  // Mirrors one iteration of the reference per-line loop, including the
-  // fused Touches * HitNs fold; costs are evaluated only on the branch
-  // taken, so the hot hit case is probe + multiply + add.
-  CacheResult R = Cache.accessLineHinted(Line, IsWrite, Touches - 1);
-  if (R.Hit) {
-    chargeNs(static_cast<double>(Touches) *
-             (Tech.CacheHitNs / Tech.mlp(Current)));
-    return;
-  }
+void HybridMemory::chargeLineMiss(uint64_t Line, CacheResult R,
+                                  uint32_t Touches) {
+  // Mirrors one missed iteration of the reference per-line loop, including
+  // the fused (Touches - 1) * HitNs fold of the line's repeat hits.
   const uint64_t LineStart = Line * CacheLineBytes;
   Device D = Map.deviceOf(LineStart);
   bool Prefetched = Tech.StreamPrefetcher && Prefetch.access(Line);
@@ -123,7 +129,7 @@ void HybridMemory::fastOne(uint64_t Line, bool IsWrite, uint32_t Touches) {
   }
   if (Touches > 1)
     chargeNs(static_cast<double>(Touches - 1) *
-             (Tech.CacheHitNs / Tech.mlp(Current)));
+             HitNs[static_cast<unsigned>(Current)]);
 }
 
 void HybridMemory::perLineRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
@@ -132,11 +138,11 @@ void HybridMemory::perLineRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
     // Naive injection is a flat per-touch delay with no cache, so the
     // range op literally is the element loop.
     if (ElemBytes == 0) {
-      perLineAccess(Addr, Bytes, IsWrite);
+      naiveAccess(Addr, Bytes, IsWrite);
       return;
     }
     for (uint64_t I = 0, N = Bytes / ElemBytes; I != N; ++I)
-      perLineAccess(Addr + I * ElemBytes, ElemBytes, IsWrite);
+      naiveAccess(Addr + I * ElemBytes, ElemBytes, IsWrite);
     return;
   }
 
@@ -167,9 +173,9 @@ void HybridMemory::perLineRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
     // One cache probe per touch (the batched path instead coalesces the
     // guaranteed repeat hits through the Repeat parameter -- running both
     // forms differentially checks that coalescing).
-    CacheResult R = Cache.access(LineStart, IsWrite);
+    CacheResult R = Reference->access(LineStart, IsWrite);
     for (uint32_t K = 1; K < Touches; ++K)
-      Cache.access(LineStart, IsWrite);
+      Reference->access(LineStart, IsWrite);
     if (R.Hit) {
       chargeNs(static_cast<double>(Touches) * HitNs);
       continue;
@@ -195,48 +201,16 @@ void HybridMemory::perLineRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
   }
 }
 
-void HybridMemory::perLineAccess(uint64_t Addr, uint64_t Bytes, bool IsWrite) {
+void HybridMemory::naiveAccess(uint64_t Addr, uint64_t Bytes, bool IsWrite) {
+  // §5.1's rejected alternative: a fixed delay per executed load/store,
+  // blind to caches and overlap.
   uint64_t FirstLine = Addr / CacheLineBytes;
   uint64_t LastLine = (Addr + Bytes - 1) / CacheLineBytes;
   for (uint64_t Line = FirstLine; Line <= LastLine; ++Line) {
     uint64_t LineAddr = Line * CacheLineBytes;
-    if (Tech.Mode == EmulationMode::NaiveInjection) {
-      // §5.1's rejected alternative: a fixed delay per executed
-      // load/store, blind to caches and overlap.
-      Device D = Map.deviceOf(LineAddr);
-      chargeNs(IsWrite ? Tech.writeLatencyNs(D) : Tech.readLatencyNs(D));
-      recordTraffic(LineAddr, IsWrite);
-      continue;
-    }
-    CacheResult R = Cache.access(LineAddr, IsWrite);
-    if (R.Hit) {
-      chargeNs(Tech.CacheHitNs / Tech.mlp(Current));
-      continue;
-    }
-    // Miss: fill the line from its device. A write miss performs a
-    // read-for-ownership; the store itself is absorbed by the cache and
-    // reaches the device later as a writeback. Sequential-stream misses
-    // are hidden by the prefetcher and cost only bandwidth.
     Device D = Map.deviceOf(LineAddr);
-    bool Prefetched = Tech.StreamPrefetcher && Prefetch.access(Line);
-    if (Prefetched) {
-      ++PrefetchedMisses;
-      // Prefetched lines stream concurrently with compute.
-      chargeOverlappableNs(
-          Tech.missCostNs(D, Current, /*IsWrite=*/false, Prefetched));
-    } else {
-      // A demand miss is a dependent load: the pipeline stalls.
-      chargeNs(Tech.missCostNs(D, Current, /*IsWrite=*/false, Prefetched));
-    }
-    recordTraffic(LineAddr, /*IsWrite=*/false);
-    if (R.Writeback) {
-      // Writebacks drain asynchronously; they consume bandwidth (and on
-      // NVM, substantial energy) but overlap with compute.
-      Device VictimDev = Map.deviceOf(R.VictimLineAddr);
-      chargeOverlappableNs(static_cast<double>(CacheLineBytes) /
-                           Tech.bandwidthGBs(VictimDev));
-      recordTraffic(R.VictimLineAddr, /*IsWrite=*/true);
-    }
+    chargeNs(IsWrite ? Tech.writeLatencyNs(D) : Tech.readLatencyNs(D));
+    recordTraffic(LineAddr, IsWrite);
   }
 }
 
@@ -264,7 +238,7 @@ void HybridMemory::fastRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
   const double OtherClock = ActorNs[1 - Cur];
   double Slack = CpuSlackNs[Cur];
 
-  const double HitNs = Tech.CacheHitNs / Tech.mlp(Current);
+  const double HitNs = this->HitNs[Cur];
   const double DemandNs[NumDevices] = {
       Tech.missCostNs(Device::DRAM, Current, false, false),
       Tech.missCostNs(Device::NVM, Current, false, false)};
@@ -339,7 +313,7 @@ void HybridMemory::fastRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
           CurEnd = ElemStart;
         }
       }
-      CacheResult R = Cache.accessLineHinted(Line, IsWrite, Touches - 1);
+      CacheResult R = Cache.accessLine(Line, IsWrite, Touches - 1);
       if (R.Hit) {
         Clock += static_cast<double>(Touches) * HitNs;
         continue;

@@ -25,8 +25,10 @@
 #include "memsim/EnergyModel.h"
 #include "memsim/MemoryTechnology.h"
 #include "memsim/Prefetcher.h"
+#include "memsim/ScanCacheModel.h"
 #include "support/Metrics.h"
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -46,9 +48,10 @@ struct EpochSample {
 
 /// Which implementation services onAccess/onAccessRange. Both produce
 /// bit-identical simulated time, energy, traffic, cache statistics, and
-/// bandwidth trace; PerLine is the straight-line reference loop the
-/// twin-replay tests diff the batched path against. Production always
-/// runs Batched; only setAccessPath selects PerLine.
+/// bandwidth trace; PerLine is the straight-line reference loop over the
+/// reference cache model (ScanCacheModel) that the twin-replay tests diff
+/// the batched path and its CacheModel against. Production always runs
+/// Batched; only setAccessPath selects PerLine.
 enum class AccessPathMode {
   Batched, ///< Amortized device/prefetch/LLC bookkeeping per line run.
   PerLine, ///< Reference: one full pipeline evaluation per touched line.
@@ -139,13 +142,29 @@ public:
   /// (asserted by the twin-replay tests). Batched additionally
   /// resolves the device once per page run, coalesces the repeat cache
   /// probes, and precomputes the cost constants once per call.
+  ///
+  /// Defined inline: a single access confined to one cache line -- every
+  /// mutator field access -- that hits the LLC costs one predictable
+  /// slow-path test, one cache index probe, and one clock add. Misses,
+  /// element ranges, multi-line ranges, and the slow paths (hotness
+  /// profiling, PerLine, NaiveInjection) leave the caller.
   void onAccessRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
-                     uint64_t ElemBytes = 0);
+                     uint64_t ElemBytes = 0) {
+    assert(Bytes > 0 && "zero-size access");
+    const uint64_t Line = Addr / CacheLineBytes;
+    if (SlowPath || ElemBytes != 0 ||
+        Line != (Addr + Bytes - 1) / CacheLineBytes) {
+      accessOutOfLine(Addr, Bytes, IsWrite, ElemBytes);
+      return;
+    }
+    touchLine(Line, IsWrite, /*Touches=*/1);
+  }
 
   /// Selects the access implementation (default Batched). PerLine is the
   /// reference loop for differential tests and micro benchmarks; no
-  /// runtime option reaches it.
-  void setAccessPath(AccessPathMode M) { Path = M; }
+  /// runtime option reaches it. Each path has its own cache model, so the
+  /// path is chosen before the first access.
+  void setAccessPath(AccessPathMode M);
   AccessPathMode accessPath() const { return Path; }
 
   /// Charges \p Ns of pure CPU work (no memory traffic) to the current
@@ -181,8 +200,12 @@ public:
   const TrafficCounters &traffic(Device D) const {
     return Traffic[static_cast<unsigned>(D)];
   }
-  uint64_t cacheHits() const { return Cache.hits(); }
-  uint64_t cacheMisses() const { return Cache.misses(); }
+  uint64_t cacheHits() const {
+    return Reference ? Reference->hits() : Cache.hits();
+  }
+  uint64_t cacheMisses() const {
+    return Reference ? Reference->misses() : Cache.misses();
+  }
 
   /// The Fig 8 bandwidth-over-time trace, rebuilt from the registry's
   /// four bandwidth series (one row per epoch, padded to the longest).
@@ -201,7 +224,10 @@ public:
   /// for GC-actor traffic, so profiling observes application heat only.
   /// Null (the default) keeps every non-dynamic policy's accounting
   /// byte-identical to a build without the profiler.
-  void setHotnessTracker(HotnessTracker *T) { Hot = T; }
+  void setHotnessTracker(HotnessTracker *T) {
+    Hot = T;
+    updateSlowPath();
+  }
   HotnessTracker *hotnessTracker() { return Hot; }
 
 private:
@@ -215,21 +241,42 @@ private:
     chargeNs(Ns - Hidden);
   }
   void recordTraffic(uint64_t LineAddr, bool IsWrite);
-  /// Batched implementation of onAccessRange (cache-aware mode only).
+  /// SlowPath is true when an access needs more than the batched cost
+  /// model: a hotness tracker to feed, the PerLine reference, or the
+  /// cache-blind NaiveInjection mode.
+  void updateSlowPath() {
+    SlowPath = Hot != nullptr || Path == AccessPathMode::PerLine ||
+               Tech.Mode == EmulationMode::NaiveInjection;
+  }
+  /// onAccessRange for everything but an unprofiled, batched, single-line
+  /// single access: feeds the hotness tracker, then dispatches to the
+  /// selected implementation.
+  void accessOutOfLine(uint64_t Addr, uint64_t Bytes, bool IsWrite,
+                       uint64_t ElemBytes);
+  /// A batched access confined to cache line \p Line with \p Touches
+  /// element touches: the first probe decides hit or miss, and the
+  /// repeats are its guaranteed hits, charged as one fused
+  /// Touches * HitNs fold (see onAccessRange).
+  void touchLine(uint64_t Line, bool IsWrite, uint32_t Touches) {
+    CacheResult R = Cache.accessLine(Line, IsWrite, Touches - 1);
+    if (!R.Hit) {
+      chargeLineMiss(Line, R, Touches);
+      return;
+    }
+    const unsigned Cur = static_cast<unsigned>(Current);
+    ActorNs[Cur] += static_cast<double>(Touches) * HitNs[Cur];
+  }
+  /// Charges the miss of touchLine: the reference per-line loop's miss
+  /// branch for one line.
+  void chargeLineMiss(uint64_t Line, CacheResult R, uint32_t Touches);
+  /// Batched implementation of a multi-line range.
   void fastRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
                  uint64_t ElemBytes);
-  /// Batched service of a range confined to one cache line (\p Touches
-  /// element touches) -- the dominant call shape: every mutator field
-  /// access is a single sub-line onAccess. Unlike fastRange it computes
-  /// costs lazily (only the branch taken), so a hit pays one probe and
-  /// one fused fold and none of the per-call constant setup.
-  void fastOne(uint64_t Line, bool IsWrite, uint32_t Touches);
   /// Reference implementation: the per-element, per-line pipeline.
   void perLineRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
                     uint64_t ElemBytes);
-  /// One access through the original full pipeline (reference path and
-  /// NaiveInjection mode).
-  void perLineAccess(uint64_t Addr, uint64_t Bytes, bool IsWrite);
+  /// One access in NaiveInjection mode: a flat per-line delay.
+  void naiveAccess(uint64_t Addr, uint64_t Bytes, bool IsWrite);
   /// deviceOf for writeback victims (arbitrary addresses): a single-entry
   /// page cache invalidated by the map's remap generation.
   Device victimDeviceOf(uint64_t Addr) {
@@ -246,8 +293,13 @@ private:
   AddressMap Map;
   MemoryTechnology Tech;
   CacheModel Cache;
+  /// The PerLine path's reference cache; built by setAccessPath(PerLine).
+  std::unique_ptr<ScanCacheModel> Reference;
+  CacheConfig CacheCfg;
   Actor Current = Actor::Mutator;
   double ActorNs[NumActors] = {0.0, 0.0};
+  /// Per-actor LLC hit cost, CacheHitNs / mlp(actor).
+  double HitNs[NumActors] = {0.0, 0.0};
   TrafficCounters Traffic[NumDevices];
   double EpochNs;
   /// Registry holding the bandwidth series; OwnedRegistry backs it when
@@ -264,6 +316,7 @@ private:
   PrefetchStreamTable Prefetch;
   uint64_t PrefetchedMisses = 0;
   AccessPathMode Path = AccessPathMode::Batched;
+  bool SlowPath = false;
   /// Single-entry victim deviceOf cache (see victimDeviceOf).
   uint64_t VictimCachePage = ~0ull;
   uint64_t VictimCacheGen = ~0ull;

@@ -9,6 +9,7 @@
 #include "memsim/EnergyModel.h"
 #include "memsim/HybridMemory.h"
 #include "memsim/Prefetcher.h"
+#include "memsim/ScanCacheModel.h"
 #include "support/Errors.h"
 
 #include <gtest/gtest.h>
@@ -275,33 +276,78 @@ TEST(HybridMemory, RejectsNonPositiveOrNonFiniteEpoch) {
   EXPECT_NO_THROW(HybridMemory(1 << 20, T, CC, 1.0));
 }
 
-TEST(CacheModel, HintedAccessMatchesScan) {
-  // The way-predictor entry points must produce exactly the scan's
-  // outcomes and state: drive one instance through access() and a twin
-  // through accessHinted()/accessLineHinted() with an identical mixed
-  // stream (hot reuse, evictions, sub-line offsets, coalesced repeats).
-  for (uint64_t Seed : {3ull, 77ull, 20260808ull}) {
-    CacheModel Scan((CacheConfig()));
-    CacheModel Hinted((CacheConfig()));
-    uint64_t State = Seed;
-    for (int I = 0; I != 30000; ++I) {
-      uint64_t R = splitMix64(State);
-      // ~1024 distinct lines over a 16-set cache: plenty of conflict.
-      uint64_t Addr = ((R >> 10) % 1024) * 64 + (R % 64);
-      bool IsWrite = (R & (1ull << 8)) != 0;
-      uint32_t Repeat = (R >> 60) & 3;
-      CacheResult A = Scan.access(Addr, IsWrite, Repeat);
-      CacheResult B = (I & 1)
-                          ? Hinted.accessHinted(Addr, IsWrite, Repeat)
-                          : Hinted.accessLineHinted(Addr / 64, IsWrite,
-                                                    Repeat);
-      ASSERT_EQ(A.Hit, B.Hit) << "step " << I;
-      ASSERT_EQ(A.Writeback, B.Writeback) << "step " << I;
-      ASSERT_EQ(A.VictimLineAddr, B.VictimLineAddr) << "step " << I;
+TEST(CacheModel, MatchesScanReference) {
+  // The residency-indexed cache must reproduce the reference scan model
+  // (ScanCacheModel.h) op for op: hit/miss outcome, writeback victim, and
+  // counters, over geometries from direct-mapped to the default 16 x 20
+  // (and a 19-set capacity that rounds up to 32 sets), under hot reuse,
+  // same-set conflict strides, and random lines, with mixed writes and
+  // coalesced repeats throughout.
+  struct Geometry {
+    uint64_t CapacityBytes;
+    uint32_t Associativity;
+  };
+  const Geometry Geometries[] = {
+      {20 * 1024, 20},   // default: 16 sets x 20 ways
+      {64, 1},           // 1 set x 1 way
+      {2 * 64, 2},       // 1 set x 2 ways
+      {4 * 64, 1},       // 4 sets x 1 way
+      {64 * 8 * 64, 8},  // 64 sets x 8 ways
+      {24 * 1024, 20},   // 19 raw sets -> 32
+  };
+  enum Stream { HotReuse, SetConflict, RandomLines, NumStreams };
+  for (const Geometry &G : Geometries) {
+    CacheConfig Config;
+    Config.CapacityBytes = G.CapacityBytes;
+    Config.Associativity = G.Associativity;
+    const uint64_t Lines = G.CapacityBytes / 64;
+    for (int S = 0; S != NumStreams; ++S) {
+      for (uint64_t Seed : {5ull, 20261018ull}) {
+        SCOPED_TRACE(testing::Message()
+                     << G.CapacityBytes << " B " << G.Associativity
+                     << "-way, stream " << S << ", seed " << Seed);
+        CacheModel Fast(Config);
+        ScanCacheModel Ref(Config);
+        uint64_t State = Seed * 31 + static_cast<uint64_t>(S);
+        for (int I = 0; I != 20000; ++I) {
+          uint64_t R = splitMix64(State);
+          uint64_t Line;
+          if (S == HotReuse)
+            Line = 1000 + (R >> 16) % (Lines + Lines / 2 + 1);
+          else if (S == SetConflict)
+            // A 64-line stride maps to one set at every geometry above.
+            Line = 7 + 64 * ((R >> 16) % (2 * G.Associativity + 3));
+          else
+            Line = (R >> 16) % (1u << 20);
+          uint64_t Addr = Line * 64 + (R & 63);
+          bool IsWrite = (R & (1ull << 8)) != 0;
+          uint32_t Repeat = (R >> 60) & 3;
+          CacheResult A = Ref.access(Addr, IsWrite, Repeat);
+          CacheResult B = (I & 1) ? Fast.access(Addr, IsWrite, Repeat)
+                                  : Fast.accessLine(Line, IsWrite, Repeat);
+          ASSERT_EQ(A.Hit, B.Hit) << "op " << I;
+          ASSERT_EQ(A.Writeback, B.Writeback) << "op " << I;
+          ASSERT_EQ(A.VictimLineAddr, B.VictimLineAddr) << "op " << I;
+          ASSERT_EQ(Ref.hits(), Fast.hits()) << "op " << I;
+          ASSERT_EQ(Ref.misses(), Fast.misses()) << "op " << I;
+        }
+      }
     }
-    EXPECT_EQ(Scan.hits(), Hinted.hits());
-    EXPECT_EQ(Scan.misses(), Hinted.misses());
   }
+}
+
+TEST(CacheModel, LruOrderSurvivesClockWrap) {
+  // Coalesced repeats advance the LRU clock by 1 + Repeat, so one access
+  // can carry it past 2^32. A 32-bit clock would then stamp B, the line
+  // used last, with the smallest value and evict it before A.
+  CacheConfig OneSet;
+  OneSet.CapacityBytes = 2 * 64;
+  OneSet.Associativity = 2;
+  CacheModel C(OneSet);
+  C.access(0, false);                  // A
+  C.access(64, false, 0xFFFFFFFEu);    // B: the clock reaches 2^32
+  EXPECT_FALSE(C.access(128, false).Hit); // C evicts the LRU line
+  EXPECT_TRUE(C.access(64, false).Hit) << "B was used after A";
 }
 
 namespace {
@@ -524,6 +570,16 @@ TEST(HybridMemory, BatchedPathMatchesPerLineWithoutPrefetcher) {
   replay(A, Ops);
   replay(B, Ops);
   expectIdenticalState(A, B);
+}
+
+TEST(HybridMemory, AccessPathIsChosenBeforeTheFirstAccess) {
+  // Each path keeps its own cache model, so switching after an access
+  // would split one run's cache state across two models.
+  HybridMemory Mem(1 << 20, MemoryTechnology{}, CacheConfig{});
+  Mem.setAccessPath(AccessPathMode::PerLine);
+  Mem.setAccessPath(AccessPathMode::Batched);
+  Mem.onAccess(0, 8, false);
+  EXPECT_THROW(Mem.setAccessPath(AccessPathMode::PerLine), EngineError);
 }
 
 TEST(EmulationMode, NaiveInjectionOvershootsCacheAware) {
