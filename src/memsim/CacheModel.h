@@ -16,9 +16,17 @@
 /// to a 20 KB 20-way cache, following the repository-wide 1 GB -> 1 MB scale
 /// so that the cache:heap ratio matches the paper's.
 ///
-/// Lines are found through an exact residency index (docs/memsim.md): an
-/// open-addressing line -> way table holding exactly the resident lines, so
-/// both a hit and a miss are known after one probe and no tag scan runs.
+/// A miss deletes nothing and scans nothing (docs/memsim.md):
+///   - a hit is predicted by a way-hint table (one byte per slot, >= 8x as
+///     many slots as lines) and confirmed by one tag compare. Hints of
+///     evicted lines are never deleted; the tag compare rejects them.
+///   - when the hint fails, per-set 8-bit tag fingerprints (one byte per
+///     way, 0 = empty) are matched eight ways per 64-bit word, and only the
+///     matching ways' tags are compared.
+///   - the LRU victim comes from a per-set candidate order sorted by
+///     (LastUse, way) at the set's last sort. A way touched since then is
+///     newer than every untouched way, so the first candidate not touched
+///     since the sort is the exact LRU way.
 /// Outcomes, LRU order, counters, and writeback victims are those of the
 /// plain scan in ScanCacheModel.h.
 ///
@@ -41,7 +49,7 @@ namespace memsim {
 /// CacheLineBytes wide, as everywhere else in the simulator.
 struct CacheConfig {
   uint64_t CapacityBytes = 20 * 1024; // 20 MB / 1024 (Table 3, scaled)
-  uint32_t Associativity = 20;
+  uint32_t Associativity = 20;        // 1..255: ways are stored as bytes
 };
 
 /// Outcome of a cache access, with any writeback the access displaced.
@@ -55,6 +63,8 @@ struct CacheResult {
 /// Set-associative LRU cache over line addresses.
 class CacheModel {
 public:
+  /// Throws EngineError unless 1 <= Associativity <= 255 and the capacity
+  /// holds at least one set.
   explicit CacheModel(const CacheConfig &Config);
 
   /// Accesses the line containing \p Addr; \p IsWrite marks the line dirty.
@@ -71,19 +81,16 @@ public:
     return accessLine(Addr / CacheLineBytes, IsWrite, Repeat);
   }
 
-  /// access() addressed by line number (Addr / CacheLineBytes). The hit
-  /// is inline -- one index probe plus the LRU/dirty bookkeeping -- and
-  /// only a miss leaves the caller.
+  /// access() addressed by line number (Addr / CacheLineBytes). A hit on
+  /// the hinted way is inline -- one tag compare plus the LRU/dirty
+  /// stores -- and everything else leaves the caller.
   CacheResult accessLine(uint64_t LineAddr, bool IsWrite,
                          uint32_t Repeat = 0) {
     assert(LineAddr != NoLine && "line address collides with the sentinel");
-    const Slot &S = Index[findSlot(LineAddr)];
-    if (S.Line != LineAddr)
-      return miss(LineAddr, IsWrite, Repeat);
-    UseClock += 1 + static_cast<uint64_t>(Repeat);
-    LastUse[S.Way] = UseClock;
-    if (IsWrite)
-      Dirty[S.Way] = 1;
+    const size_t Way = setBase(LineAddr) + Hint[hintSlotOf(LineAddr)];
+    if (Tags[Way] != LineAddr)
+      return lookup(LineAddr, IsWrite, Repeat);
+    touch(Way, IsWrite, Repeat);
     CacheResult Result;
     Result.Hit = true;
     return Result;
@@ -94,55 +101,71 @@ public:
   uint64_t hits() const { return UseClock - Misses; }
   uint64_t misses() const { return Misses; }
 
+  /// The 8-bit tag fingerprint of \p Line, never 0, and its way-hint
+  /// slot. Public so tests can build streams that collide on either.
+  static uint8_t fingerprintOf(uint64_t Line) {
+    const uint8_t F =
+        static_cast<uint8_t>((Line * 0xC2B2AE3D27D4EB4Full) >> 56);
+    return F == 0 ? 1 : F;
+  }
+  size_t hintSlotOf(uint64_t Line) const {
+    return static_cast<size_t>((Line * 0x9E3779B97F4A7C15ull) >> HintShift);
+  }
+
 private:
-  /// Tag of an empty way and key of an empty index slot. No line address
-  /// reaches it: lines are byte addresses divided by CacheLineBytes.
+  /// Tag of an empty way. No line address reaches it: lines are byte
+  /// addresses divided by CacheLineBytes.
   static constexpr uint64_t NoLine = ~0ull;
 
-  /// Residency-index entry: a resident line and its position in the way
-  /// arrays (Set * Associativity + way). Line == NoLine marks an empty
-  /// slot.
-  struct Slot {
-    uint64_t Line = NoLine;
-    uint32_t Way = 0;
-  };
-
-  /// Fills \p LineAddr into its set's LRU way, evicting (and reporting)
-  /// the previous occupant.
-  CacheResult miss(uint64_t LineAddr, bool IsWrite, uint32_t Repeat);
-
-  /// Fibonacci-hash home slot of \p Line.
-  size_t slotOf(uint64_t Line) const {
-    return static_cast<size_t>((Line * 0x9E3779B97F4A7C15ull) >> IndexShift);
+  /// Index of way 0 of \p Line's set in the way arrays.
+  size_t setBase(uint64_t Line) const {
+    return static_cast<size_t>(Line & SetMask) * Associativity;
   }
 
-  /// Slot for \p Line: its live slot, or the empty slot that ends its
-  /// probe chain. The index holds at most half as many lines as it has
-  /// slots, so chains stay short and always end.
-  size_t findSlot(uint64_t Line) const {
-    size_t S = slotOf(Line);
-    while (Index[S].Line != Line && Index[S].Line != NoLine)
-      S = (S + 1) & IndexMask;
-    return S;
+  /// The hit bookkeeping of way \p Way (Set * Associativity + way).
+  void touch(size_t Way, bool IsWrite, uint32_t Repeat) {
+    UseClock += 1 + static_cast<uint64_t>(Repeat);
+    LastUse[Way] = UseClock;
+    if (IsWrite)
+      Dirty[Way] = 1;
   }
 
-  /// Deletes the entry at slot \p I by backward-shifting the rest of its
-  /// probe cluster (no tombstones, so findSlot stays a two-test loop).
-  void eraseAt(size_t I);
+  /// The hinted way does not hold \p LineAddr: finds it through the set's
+  /// fingerprints (a hit, whose hint is refreshed) or fills it (a miss).
+  CacheResult lookup(uint64_t LineAddr, bool IsWrite, uint32_t Repeat);
+
+  /// Way (within its set) of the set's least-recently-used line: the
+  /// first candidate not touched since the last sort, re-sorting when
+  /// every candidate has been.
+  uint32_t victimWay(size_t Set);
+
+  /// Re-sorts \p Set's candidates by (LastUse, way), starting from their
+  /// previous order.
+  void resort(size_t Set);
 
   uint32_t Associativity;
-  uint32_t NumSets;
+  uint64_t SetMask = 0;
+  /// 64-bit fingerprint words per set: ceil(Associativity / 8).
+  uint32_t FpWords = 0;
   uint64_t UseClock = 0;
   uint64_t Misses = 0;
-  /// The ways, NumSets x Associativity row-major, as struct-of-arrays so
-  /// victim selection reads one contiguous LastUse row.
+  /// The ways, NumSets x Associativity row-major, as struct-of-arrays.
   std::vector<uint64_t> Tags;    // line address; NoLine marks an empty way
   std::vector<uint64_t> LastUse; // UseClock at last touch; 0 = never used
   std::vector<uint8_t> Dirty;
-  /// Residency index: power-of-two, linear probing, >= 2x the line count.
-  std::vector<Slot> Index;
-  size_t IndexMask = 0;
-  unsigned IndexShift = 0;
+  /// Per set, FpWords words; byte w % 8 of word w / 8 is way w's
+  /// fingerprint, 0 for an empty way (and for the padding of a partial
+  /// last word), so an empty way never matches.
+  std::vector<uint64_t> Fp;
+  /// Way-hint table: Fibonacci hash of a line -> the way within its set
+  /// that last held a line hashing there. Never cleared; may be stale.
+  std::vector<uint8_t> Hint;
+  unsigned HintShift = 0;
+  /// Per set: its ways sorted by (LastUse, way) at SortClock, and the
+  /// position of the next candidate to try.
+  std::vector<uint8_t> Cand;
+  std::vector<uint8_t> CandPos;
+  std::vector<uint64_t> SortClock;
 };
 
 } // namespace memsim

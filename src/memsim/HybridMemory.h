@@ -144,10 +144,10 @@ public:
   /// probes, and precomputes the cost constants once per call.
   ///
   /// Defined inline: a single access confined to one cache line -- every
-  /// mutator field access -- that hits the LLC costs one predictable
-  /// slow-path test, one cache index probe, and one clock add. Misses,
-  /// element ranges, multi-line ranges, and the slow paths (hotness
-  /// profiling, PerLine, NaiveInjection) leave the caller.
+  /// mutator field access -- that hits the LLC on its hinted way costs
+  /// one predictable slow-path test, one tag compare, and one clock add.
+  /// Misses, element ranges, multi-line ranges, and the slow paths
+  /// (hotness profiling, PerLine, NaiveInjection) leave the caller.
   void onAccessRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
                      uint64_t ElemBytes = 0) {
     assert(Bytes > 0 && "zero-size access");
@@ -311,8 +311,7 @@ private:
   /// so the pointers stay valid for the registry's lifetime.
   support::TimeSeries *Bw[4] = {nullptr, nullptr, nullptr, nullptr};
 
-  /// Prefetcher stream table (constant-time; decision-identical to the
-  /// original linear scan).
+  /// Prefetcher stream table (Prefetcher.h).
   PrefetchStreamTable Prefetch;
   uint64_t PrefetchedMisses = 0;
   AccessPathMode Path = AccessPathMode::Batched;

@@ -5,9 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Constant-time bookkeeping for the hardware stream prefetcher modeled by
-/// HybridMemory. The reference semantics are a linear table of N streams,
-/// each holding the next line it expects:
+/// Bookkeeping for the hardware stream prefetcher modeled by HybridMemory:
+/// a table of N streams, each holding the next line it expects.
 ///
 ///   - a missed line matching the lowest-indexed stream's expectation is a
 ///     prefetch hit; that stream advances to the successor line and becomes
@@ -16,24 +15,16 @@
 ///     lowest index, which also makes never-used streams fill in index
 ///     order) is retrained to expect the successor.
 ///
-/// The linear scan is O(N) per miss and sat directly on the simulator's
-/// hottest path. For N <= 64 streams this table keeps the same decisions
-/// with O(1) amortized work: an open-addressing hash table (fixed 256
-/// slots, linear probing, backward-shift deletion -- no allocation on the
-/// access path) from expected line to a bitmask of the streams expecting
-/// it (lowest set bit == lowest index, matching the scan order), plus an
-/// intrusive recency list whose head is the LRU victim (initialized
-/// 0..N-1 so initial ties also pop in index order). For N > 64 it falls
-/// back to the reference scan, so behavior is identical at any
-/// configuration.
+/// The match is a first-match scan over the N expected lines (N = 8 by
+/// default, one contiguous 64-byte row). The victim comes from an
+/// intrusive recency list whose head is the LRU stream (initialized 0..N-1
+/// so initial ties also pop in index order), so no LastUse pass runs.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PANTHERA_MEMSIM_PREFETCHER_H
 #define PANTHERA_MEMSIM_PREFETCHER_H
 
-#include <bit>
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -43,18 +34,8 @@ namespace memsim {
 /// Stream-prefetcher state machine; access() per missed line address.
 class PrefetchStreamTable {
 public:
-  /// Bitmask width; stream counts above this use the linear fallback.
-  static constexpr uint32_t MaxFastStreams = 64;
-
   explicit PrefetchStreamTable(uint32_t NumStreams) : N(NumStreams) {
-    if (N == 0)
-      return;
-    if (N > MaxFastStreams) {
-      Linear.assign(N, Stream());
-      return;
-    }
     NextLine.assign(N, NoLine);
-    Table.assign(TableSlots, Slot());
     Prev.resize(N);
     Next.resize(N);
     for (uint32_t I = 0; I != N; ++I) {
@@ -67,85 +48,28 @@ public:
 
   /// True when \p LineAddr continues a tracked sequential stream; updates
   /// the table either way (hit streams advance, misses retrain the LRU
-  /// stream). Decision-identical to the reference linear scan.
+  /// stream).
   bool access(uint64_t LineAddr) {
     if (N == 0)
       return false;
-    if (!Linear.empty())
-      return linearAccess(LineAddr);
-
-    size_t S = findSlot(LineAddr);
-    if (Table[S].Mask != 0) {
-      // Lowest set bit == the stream the reference scan would find first.
-      uint32_t I = static_cast<uint32_t>(std::countr_zero(Table[S].Mask));
-      Table[S].Mask &= Table[S].Mask - 1;
-      if (Table[S].Mask == 0)
-        eraseAt(S);
-      retarget(I, LineAddr + 1);
-      return true;
-    }
-    // New stream candidate: retrain the LRU victim (list head) to predict
-    // the sequential successor.
-    uint32_t I = Head;
-    if (NextLine[I] != NoLine) {
-      size_t Old = findSlot(NextLine[I]);
-      Table[Old].Mask &= ~(uint64_t(1) << I);
-      if (Table[Old].Mask == 0)
-        eraseAt(Old);
-    }
-    retarget(I, LineAddr + 1);
-    return false;
+    uint32_t I = 0;
+    while (I != N && NextLine[I] != LineAddr)
+      ++I;
+    // A hit advances its stream; a new stream candidate retrains the LRU
+    // victim (list head) to predict the sequential successor. One
+    // retarget site keeps the function small enough to inline.
+    const bool Hit = I != N;
+    retarget(Hit ? I : Head, LineAddr + 1);
+    return Hit;
   }
 
 private:
-  struct Stream {
-    uint64_t NextLine = ~0ull;
-    uint64_t LastUse = 0;
-  };
-
   static constexpr uint64_t NoLine = ~0ull;
   static constexpr uint32_t NoIndex = ~0u;
-
-  /// Slot for \p Key: the matching live slot, or the first empty slot of
-  /// its probe chain. At most N (<= 64) of the 256 slots are ever live,
-  /// so probe chains stay short.
-  size_t findSlot(uint64_t Key) const {
-    size_t S = slotOf(Key);
-    while (Table[S].Mask != 0 && Table[S].Key != Key)
-      S = (S + 1) & (TableSlots - 1);
-    return S;
-  }
-
-  /// Deletes the entry at slot \p I by backward-shifting the rest of its
-  /// probe cluster (no tombstones, so findSlot stays a two-test loop).
-  void eraseAt(size_t I) {
-    size_t J = I;
-    while (true) {
-      Table[I].Mask = 0;
-      while (true) {
-        J = (J + 1) & (TableSlots - 1);
-        if (Table[J].Mask == 0)
-          return;
-        size_t Home = slotOf(Table[J].Key);
-        // An entry whose home lies cyclically in (I, J] is still
-        // reachable with the hole at I; keep scanning past it.
-        bool Reachable = I <= J ? (Home > I && Home <= J)
-                                : (Home > I || Home <= J);
-        if (!Reachable)
-          break;
-      }
-      Table[I] = Table[J];
-      I = J;
-    }
-  }
 
   /// Points stream \p I at \p Line and makes it most recently used.
   void retarget(uint32_t I, uint64_t Line) {
     NextLine[I] = Line;
-    size_t S = findSlot(Line);
-    if (Table[S].Mask == 0)
-      Table[S].Key = Line;
-    Table[S].Mask |= uint64_t(1) << I;
     if (I == Tail)
       return;
     // Unlink, then append at the tail.
@@ -160,50 +84,14 @@ private:
     Tail = I;
   }
 
-  /// Reference algorithm, kept for stream counts wider than the bitmask.
-  bool linearAccess(uint64_t LineAddr) {
-    ++StreamClock;
-    size_t Lru = 0;
-    for (size_t I = 0; I != Linear.size(); ++I) {
-      if (Linear[I].NextLine == LineAddr) {
-        Linear[I].NextLine = LineAddr + 1;
-        Linear[I].LastUse = StreamClock;
-        return true;
-      }
-      if (Linear[I].LastUse < Linear[Lru].LastUse)
-        Lru = I;
-    }
-    Linear[Lru].NextLine = LineAddr + 1;
-    Linear[Lru].LastUse = StreamClock;
-    return false;
-  }
-
-  /// Open-addressing table entry; Mask == 0 marks an empty slot (a live
-  /// expectation always has at least one stream bit set).
-  struct Slot {
-    uint64_t Key = 0;
-    uint64_t Mask = 0;
-  };
-
-  static constexpr size_t TableSlots = 256; // power of two, >= 4x streams
-
-  /// Fibonacci-hash home slot of \p Key.
-  static size_t slotOf(uint64_t Key) {
-    return static_cast<size_t>((Key * 0x9E3779B97F4A7C15ull) >> 56);
-  }
-
   uint32_t N;
-  /// Fast path (N <= 64): expected line -> bitmask of streams expecting it.
-  std::vector<Slot> Table;
+  /// The line each stream expects next; NoLine until first trained.
   std::vector<uint64_t> NextLine;
   /// Intrusive recency list over stream indices; Head is the LRU victim.
   std::vector<uint32_t> Prev;
   std::vector<uint32_t> Next;
   uint32_t Head = NoIndex;
   uint32_t Tail = NoIndex;
-  /// Fallback path (N > 64): the original linear table.
-  std::vector<Stream> Linear;
-  uint64_t StreamClock = 0;
 };
 
 } // namespace memsim

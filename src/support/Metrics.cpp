@@ -6,11 +6,20 @@
 
 #include "support/Metrics.h"
 
+#include "support/Errors.h"
+
 #include <cinttypes>
 #include <cmath>
 #include <cstring>
 
 using namespace panthera::support;
+
+void TimeSeries::grow(size_t Bucket) {
+  PANTHERA_CHECK(Bucket < MaxBuckets,
+                 "time-series bucket index out of range (epoch length too "
+                 "small for the simulated duration?)");
+  Buckets.resize(Bucket + 1, 0.0);
+}
 
 std::string panthera::support::jsonDouble(double V) {
   if (!std::isfinite(V))

@@ -29,7 +29,6 @@
 #ifndef PANTHERA_SUPPORT_METRICS_H
 #define PANTHERA_SUPPORT_METRICS_H
 
-#include "support/Errors.h"
 #include "support/Statistics.h"
 
 #include <cstdint>
@@ -91,12 +90,11 @@ public:
   /// legitimate run and cheap enough to allocate when actually reached.
   static constexpr size_t MaxBuckets = size_t(1) << 24;
 
+  /// Inline: size() never exceeds MaxBuckets, so only a bucket past the
+  /// end needs the range check, which grow() makes.
   void addAt(size_t Bucket, double V) {
-    PANTHERA_CHECK(Bucket < MaxBuckets,
-                   "time-series bucket index out of range (epoch length too "
-                   "small for the simulated duration?)");
-    if (Buckets.size() <= Bucket)
-      Buckets.resize(Bucket + 1, 0.0);
+    if (Bucket >= Buckets.size())
+      grow(Bucket);
     Buckets[Bucket] += V;
   }
   size_t size() const { return Buckets.size(); }
@@ -104,6 +102,9 @@ public:
   const std::vector<double> &buckets() const { return Buckets; }
 
 private:
+  /// Extends the series through \p Bucket; throws past MaxBuckets.
+  void grow(size_t Bucket);
+
   std::vector<double> Buckets;
 };
 

@@ -277,30 +277,58 @@ TEST(HybridMemory, RejectsNonPositiveOrNonFiniteEpoch) {
 }
 
 TEST(CacheModel, MatchesScanReference) {
-  // The residency-indexed cache must reproduce the reference scan model
-  // (ScanCacheModel.h) op for op: hit/miss outcome, writeback victim, and
-  // counters, over geometries from direct-mapped to the default 16 x 20
-  // (and a 19-set capacity that rounds up to 32 sets), under hot reuse,
-  // same-set conflict strides, and random lines, with mixed writes and
-  // coalesced repeats throughout.
+  // The hinted, fingerprinted cache must reproduce the reference scan
+  // model (ScanCacheModel.h) op for op: hit/miss outcome, writeback
+  // victim, and counters, over geometries from direct-mapped to the
+  // default 16 x 20 (and a 19-set capacity that rounds up to 32 sets),
+  // 12 ways (two fingerprint words, the second partial) and a one-set
+  // 255-way cache, under hot reuse, same-set conflict strides, random
+  // lines, lines sharing one set and one fingerprint (every resident way
+  // is a candidate the tag compare must reject), and lines sharing one
+  // hint slot, with mixed writes and coalesced repeats throughout.
   struct Geometry {
     uint64_t CapacityBytes;
     uint32_t Associativity;
   };
   const Geometry Geometries[] = {
-      {20 * 1024, 20},   // default: 16 sets x 20 ways
-      {64, 1},           // 1 set x 1 way
-      {2 * 64, 2},       // 1 set x 2 ways
-      {4 * 64, 1},       // 4 sets x 1 way
-      {64 * 8 * 64, 8},  // 64 sets x 8 ways
-      {24 * 1024, 20},   // 19 raw sets -> 32
+      {20 * 1024, 20},    // default: 16 sets x 20 ways
+      {64, 1},            // 1 set x 1 way
+      {2 * 64, 2},        // 1 set x 2 ways
+      {4 * 64, 1},        // 4 sets x 1 way
+      {64 * 8 * 64, 8},   // 64 sets x 8 ways
+      {24 * 1024, 20},    // 19 raw sets -> 32
+      {16 * 12 * 64, 12}, // 16 sets x 12 ways
+      {255 * 64, 255},    // 1 set x 255 ways
   };
-  enum Stream { HotReuse, SetConflict, RandomLines, NumStreams };
+  enum Stream {
+    HotReuse,
+    SetConflict,
+    RandomLines,
+    FingerprintCollision,
+    HintAlias,
+    NumStreams
+  };
   for (const Geometry &G : Geometries) {
     CacheConfig Config;
     Config.CapacityBytes = G.CapacityBytes;
     Config.Associativity = G.Associativity;
     const uint64_t Lines = G.CapacityBytes / 64;
+    // Pools of 2A + 3 lines: more than a set holds, so they also evict.
+    const size_t PoolSize = 2 * G.Associativity + 3;
+    // A 64-line stride maps to one set at every geometry above.
+    std::vector<uint64_t> SameFingerprint;
+    const uint8_t Fingerprint = CacheModel::fingerprintOf(7);
+    for (uint64_t K = 0; SameFingerprint.size() != PoolSize; ++K)
+      if (CacheModel::fingerprintOf(7 + 64 * K) == Fingerprint)
+        SameFingerprint.push_back(7 + 64 * K);
+    std::vector<uint64_t> SameHint;
+    {
+      const CacheModel Probe(Config);
+      const size_t Slot = Probe.hintSlotOf(12345);
+      for (uint64_t L = 12345; SameHint.size() != PoolSize; ++L)
+        if (Probe.hintSlotOf(L) == Slot)
+          SameHint.push_back(L);
+    }
     for (int S = 0; S != NumStreams; ++S) {
       for (uint64_t Seed : {5ull, 20261018ull}) {
         SCOPED_TRACE(testing::Message()
@@ -315,10 +343,13 @@ TEST(CacheModel, MatchesScanReference) {
           if (S == HotReuse)
             Line = 1000 + (R >> 16) % (Lines + Lines / 2 + 1);
           else if (S == SetConflict)
-            // A 64-line stride maps to one set at every geometry above.
             Line = 7 + 64 * ((R >> 16) % (2 * G.Associativity + 3));
-          else
+          else if (S == RandomLines)
             Line = (R >> 16) % (1u << 20);
+          else if (S == FingerprintCollision)
+            Line = SameFingerprint[(R >> 16) % PoolSize];
+          else
+            Line = SameHint[(R >> 16) % PoolSize];
           uint64_t Addr = Line * 64 + (R & 63);
           bool IsWrite = (R & (1ull << 8)) != 0;
           uint32_t Repeat = (R >> 60) & 3;
@@ -334,6 +365,20 @@ TEST(CacheModel, MatchesScanReference) {
       }
     }
   }
+}
+
+TEST(CacheModel, RejectsAssociativityOutsideOneTo255) {
+  // Ways are stored as bytes (hints, candidate order, fingerprints).
+  CacheConfig Config;
+  Config.Associativity = 0;
+  EXPECT_THROW(CacheModel{Config}, EngineError);
+  Config.Associativity = 256;
+  Config.CapacityBytes = 256 * 64;
+  EXPECT_THROW(CacheModel{Config}, EngineError);
+  Config.Associativity = 255;
+  EXPECT_NO_THROW(CacheModel{Config});
+  Config.CapacityBytes = 254 * 64; // less than one set
+  EXPECT_THROW(CacheModel{Config}, EngineError);
 }
 
 TEST(CacheModel, LruOrderSurvivesClockWrap) {
@@ -352,9 +397,9 @@ TEST(CacheModel, LruOrderSurvivesClockWrap) {
 
 namespace {
 
-/// Verbatim copy of the pre-optimization linear stream table: the pinned
-/// reference semantics PrefetchStreamTable must reproduce decision for
-/// decision (satellite 6 regression guard).
+/// Verbatim copy of the original linear stream table, with a LastUse pass
+/// for the victim: the pinned reference semantics PrefetchStreamTable must
+/// reproduce decision for decision.
 class ReferenceStreamTable {
 public:
   explicit ReferenceStreamTable(uint32_t N) : Streams(N) {}
@@ -389,7 +434,7 @@ private:
 
 } // namespace
 
-TEST(Prefetcher, ConstantTimeTableMatchesReferenceScan) {
+TEST(Prefetcher, StreamTableMatchesReferenceScan) {
   // Randomized mixes of interleaved sequential runs and wild jumps; every
   // single hit/miss decision must match the linear reference at several
   // table widths (including 1 and the default 8).
@@ -420,9 +465,8 @@ TEST(Prefetcher, ConstantTimeTableMatchesReferenceScan) {
   }
 }
 
-TEST(Prefetcher, WideTableFallbackMatchesReferenceScan) {
-  // N > 64 exceeds the bitmask fast path and must take the linear
-  // fallback -- same decisions by construction, spot-checked here.
+TEST(Prefetcher, WideStreamTableMatchesReferenceScan) {
+  // A table wider than any default, spot-checked the same way.
   ReferenceStreamTable Ref(100);
   PrefetchStreamTable Fast(100);
   uint64_t State = 5;
