@@ -14,7 +14,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "gc/Collector.h"
-#include "support/ThreadPool.h"
 #include "support/Units.h"
 
 #include <benchmark/benchmark.h>
@@ -33,11 +32,10 @@ struct Fixture {
         HeapConfig::alignPage(4096 + HC.HeapBytes + HC.NativeBytes),
         memsim::MemoryTechnology{}, memsim::CacheConfig{});
     H = std::make_unique<Heap>(HC, *Mem);
-    C = std::make_unique<gc::Collector>(*H, Policy, nullptr, Pool);
+    C = std::make_unique<gc::Collector>(*H, Policy, nullptr);
   }
   std::unique_ptr<memsim::HybridMemory> Mem;
   std::unique_ptr<Heap> H;
-  support::WorkStealingPool Pool{1};
   std::unique_ptr<gc::Collector> C;
 };
 

@@ -24,15 +24,14 @@
 ///    with a delay-scheduling slack knob, and survives executor loss.
 ///
 /// Determinism contract: every Cluster call happens on the serial driver
-/// scheduling path (the thread pool only runs GC phases), so
-/// placement decisions, fabric charges, and fault draws are bit-identical
-/// at every --threads value. The shuffle *data plane* is untouched -- the
-/// driver-side buckets carry the records exactly as in the single-heap
-/// engine -- so record contents and order are identical at every executor
-/// count; the cluster adds accounting (executor clocks, network time on
-/// the driver clock) and the loss/recovery control flow. The Runtime only
-/// constructs a Cluster when NumExecutors > 1, which keeps --executors=1
-/// byte-identical to the pre-cluster engine.
+/// scheduling path, so placement decisions, fabric charges, and fault
+/// draws are bit-identical from run to run. The shuffle *data plane* is
+/// untouched -- the driver-side buckets carry the records exactly as in
+/// the single-heap engine -- so record contents and order are identical
+/// at every executor count; the cluster adds accounting (executor clocks,
+/// network time on the driver clock) and the loss/recovery control flow.
+/// The Runtime only constructs a Cluster when NumExecutors > 1, which
+/// keeps --executors=1 byte-identical to the pre-cluster engine.
 ///
 //===----------------------------------------------------------------------===//
 

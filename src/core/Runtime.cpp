@@ -21,10 +21,6 @@ using namespace panthera;
 using namespace panthera::core;
 
 Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
-  unsigned Workers = Config.NumThreads != 0 ? Config.NumThreads
-                                            : support::resolveAutoThreads();
-  Pool = std::make_unique<support::WorkStealingPool>(Workers);
-
   heap::HeapConfig HC = gc::makeHeapConfig(Config.Policy, Config.HeapPaperGB,
                                            Config.DramRatio);
   HC.NurseryFraction = Config.NurseryFraction;
@@ -47,8 +43,8 @@ Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
                                                &Metrics);
   TheHeap = std::make_unique<heap::Heap>(HC, *Mem);
   TheHeap->setTelemetry(&Metrics, &Trace);
-  TheCollector = std::make_unique<gc::Collector>(*TheHeap, Config.Policy,
-                                                 &Monitor, *Pool);
+  TheCollector =
+      std::make_unique<gc::Collector>(*TheHeap, Config.Policy, &Monitor);
   TheCollector->setTelemetry(&Metrics, &Trace);
 
   // Online hotness profiling + between-GC migration (--policy=dynamic,

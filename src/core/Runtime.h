@@ -38,7 +38,6 @@
 #include "rdd/Rdd.h"
 #include "support/FaultInjector.h"
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
 #include "support/TraceLog.h"
 
 #include <cstdio>
@@ -82,11 +81,9 @@ struct RuntimeConfig {
   /// Verify the heap after every recovery path: emergency GC, pressure
   /// eviction, task retry. Tests default this on.
   bool VerifyHeapAfterRecovery = false;
-  /// GC worker threads for the parallel scavenge and mark (--threads); the
-  /// engine runs every stage serially. 0 means auto: the PANTHERA_THREADS
-  /// environment variable if set, otherwise hardware_concurrency().
-  /// Results and simulated time/energy are identical at every thread
-  /// count; only wall-clock changes.
+  /// Ignored: the runtime starts no threads, and the collector runs
+  /// serially. Kept only because bench/ledger/e2e_ledger.cpp still sets it;
+  /// delete the two together.
   unsigned NumThreads = 0;
   /// Cluster simulation knobs (docs/cluster.md). NumExecutors == 1 (the
   /// default) constructs no cluster at all: the engine runs the seed
@@ -155,7 +152,6 @@ public:
   /// Nonnull only under --policy=dynamic with a nonzero sampling stride.
   memsim::HotnessTracker *hotnessTracker() { return Hot.get(); }
   memsim::MigrationEngine *migrationEngine() { return Migration.get(); }
-  support::WorkStealingPool &pool() { return *Pool; }
   /// Nonnull only when Config.Cluster.NumExecutors > 1.
   cluster::Cluster *clusterSim() { return TheCluster.get(); }
   /// Nonnull once an OFF_HEAP persist has materialized.
@@ -204,7 +200,6 @@ public:
 
 private:
   RuntimeConfig Config;
-  std::unique_ptr<support::WorkStealingPool> Pool;
   /// Declared before Mem/TheHeap/...: the subsystems hold pointers into
   /// these for live instrumentation, so they must outlive them.
   support::MetricsRegistry Metrics;

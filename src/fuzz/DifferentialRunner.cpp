@@ -27,7 +27,6 @@
 #include "offheap/RegionAllocator.h"
 #include "support/Errors.h"
 #include "support/FaultInjector.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cinttypes>
@@ -60,8 +59,7 @@ public:
                                     Setup.Config.NativeBytes),
         memsim::MemoryTechnology{}, memsim::CacheConfig{});
     H = std::make_unique<Heap>(Setup.Config, *Mem);
-    Pool = std::make_unique<support::WorkStealingPool>(Opts.Threads);
-    C = std::make_unique<gc::Collector>(*H, Setup.Policy, nullptr, *Pool);
+    C = std::make_unique<gc::Collector>(*H, Setup.Policy, nullptr);
     FaultPlan Plan;
     Plan.Seed = Opts.Seed;
     bool WantFaults = false;
@@ -835,7 +833,6 @@ private:
   FuzzSetup Setup;
   std::unique_ptr<memsim::HybridMemory> Mem;
   std::unique_ptr<Heap> H;
-  std::unique_ptr<support::WorkStealingPool> Pool;
   std::unique_ptr<gc::Collector> C;
   std::unique_ptr<FaultInjector> Faults;
 
@@ -867,19 +864,11 @@ private:
 
 FuzzResult panthera::fuzz::runSchedule(const FuzzOptions &Opts,
                                        const std::vector<FuzzAction> &S) {
-  if (Opts.Threads == 0) {
-    FuzzResult Bad;
-    Bad.Ok = false;
-    Bad.Problem = "Threads must be >= 1: the collector always runs on a "
-                  "work-stealing pool";
-    Bad.FailingAction = 0;
-    return Bad;
-  }
   FuzzResult First = Runner(Opts, S).run();
   // Cluster mode: replay the schedule on each additional executor heap and
   // require a bit-identical heap image. Divergence here means per-executor
   // heaps do not evolve deterministically from their inputs, which would
-  // sink the cluster's thread/executor-count invariance guarantees.
+  // sink the cluster's executor-count invariance guarantee.
   for (unsigned E = 1; E < Opts.Executors && First.Ok; ++E) {
     FuzzResult R = Runner(Opts, S).run();
     if (!R.Ok)

@@ -10,16 +10,12 @@
 #include "memsim/Migration.h"
 #include "support/Errors.h"
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
 #include "support/TraceLog.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <thread>
 
 using namespace panthera;
 using namespace panthera::gc;
@@ -34,9 +30,8 @@ using heap::Space;
   std::abort();
 }
 
-Collector::Collector(heap::Heap &H, PolicyKind Policy, AccessMonitor *Monitor,
-                     support::WorkStealingPool &Pool)
-    : H(H), Policy(Policy), Monitor(Monitor), Pool(Pool) {
+Collector::Collector(heap::Heap &H, PolicyKind Policy, AccessMonitor *Monitor)
+    : H(H), Policy(Policy), Monitor(Monitor) {
   H.setGcHost(this);
 }
 
@@ -163,9 +158,8 @@ void Collector::collectMinor(const char *Reason) {
   {
     memsim::ActorScope Scope(H.memory(), memsim::Actor::Gc);
     ++Stats.MinorGcs;
-    // Work-stealing scavenge: claim / plan / copy / fixup phases (see
-    // below), deterministic at every worker count.
-    scavengeParallel(Event);
+    // Discover / plan / copy / fixup phases (see below).
+    scavenge(Event);
 
     // Young spaces: eden and from are now garbage; survivors sit in 'to'.
     uint64_t YoungLo = std::min(
@@ -214,28 +208,28 @@ void Collector::collectMinor(const char *Reason) {
 }
 
 //===----------------------------------------------------------------------===
-// Parallel scavenge (docs/parallelism.md)
+// Scavenge (DESIGN.md, "Why the collector is serial")
 //
 // A copying scavenge that interleaves discovery, placement, and copying
-// depends on trace order. This scavenge splits the work into four phases
-// so that every order-dependent decision is made serially and every
-// order-free phase runs on the work-stealing pool:
+// has a heap layout that depends on trace order. This scavenge splits the
+// work into four phases so that placement is decided in one
+// address-ordered pass:
 //
-//   1. discover (parallel): claim reachable young objects with a CAS on the
-//      header's forwarding word and compute the monotone MEMORY_BITS
-//      fixpoint; roots and dirty cards seed per-worker Chase-Lev deques.
-//   2. plan (serial): walk eden + from-space in address order and assign
-//      every claimed object its destination under the tag/age promotion
-//      rules; old-generation placement goes through promotion buffers
-//      (PLABs) whose remainders are retired as dead fillers.
-//   3. copy (parallel): memcpy each object to its planned destination and
-//      rewrite its reference slots through the forwarding words.
-//   4. fixup (serial): rewrite roots and dirty-card slots, make the card
-//      clean/keep decisions, and charge the merged traffic tallies.
+//   1. discover: claim reachable young objects by setting the header's
+//      forwarding word to a sentinel and compute the monotone MEMORY_BITS
+//      fixpoint; roots and dirty cards seed one worklist.
+//   2. plan: walk eden + from-space in address order and assign every
+//      claimed object its destination under the tag/age promotion rules;
+//      old-generation placement goes through promotion buffers (PLABs)
+//      whose remainders are retired as dead fillers.
+//   3. copy: memcpy each object to its planned destination and rewrite
+//      its reference slots through the forwarding words.
+//   4. fixup: rewrite roots and dirty-card slots, make the card
+//      clean/keep decisions, and charge the traffic tallies.
 //
-// Because the claim set, the tag fixpoint, and the address-ordered plan are
-// all independent of scheduling, the resulting heap image, statistics, and
-// simulated time are bit-identical at every worker count.
+// The claim set and the tag fixpoint do not depend on the worklist order,
+// and the plan walks addresses, so the resulting heap image is a function
+// of the pre-GC heap alone.
 //===----------------------------------------------------------------------===
 
 namespace {
@@ -243,60 +237,38 @@ namespace {
 /// Forward-word value marking "claimed, destination not yet planned".
 constexpr uint64_t ClaimedSentinel = 1;
 
-/// Per-worker integer traffic counts, merged before the single bulk charge
-/// so simulated GC time is independent of scheduling (floating-point
-/// accumulation order never varies). Promoted to memsim::TrafficShard so
-/// every parallel phase (not just the GC) can shard its accounting; the
-/// flush (HybridMemory::flushShard) charges the current actor and returns
-/// the ns consumed, exactly as the old GcTally::charge did under the GC
-/// actor scope.
+/// Integer traffic counts, charged once per phase through
+/// HybridMemory::flushShard, which bills the current actor and returns the
+/// ns consumed.
 using GcTally = memsim::TrafficShard;
-
-MemTag loadTagAtomic(ObjectHeader *Hdr) {
-  std::atomic_ref<uint8_t> F(Hdr->Flags);
-  return static_cast<MemTag>(F.load(std::memory_order_relaxed) &
-                             ObjectHeader::MemoryBitsMask);
-}
 
 /// Raises the object's MEMORY_BITS to merge(current, Incoming). Returns
 /// true when the stored tag changed. The merge is monotone (DRAM > NVM >
-/// none), so concurrent raisers converge and each object's tag can rise at
-/// most twice.
-bool raiseTagAtomic(ObjectHeader *Hdr, MemTag Incoming) {
-  if (Incoming == MemTag::None)
+/// none), so each object's tag can rise at most twice.
+bool raiseTag(ObjectHeader *Hdr, MemTag Incoming) {
+  MemTag Cur = Hdr->memTag();
+  MemTag Merged = mergeTags(Cur, Incoming);
+  if (Merged == Cur)
     return false;
-  std::atomic_ref<uint8_t> F(Hdr->Flags);
-  uint8_t Old = F.load(std::memory_order_relaxed);
-  for (;;) {
-    MemTag Cur = static_cast<MemTag>(Old & ObjectHeader::MemoryBitsMask);
-    MemTag Merged = mergeTags(Cur, Incoming);
-    if (Merged == Cur)
-      return false;
-    uint8_t New = static_cast<uint8_t>((Old & ~ObjectHeader::MemoryBitsMask) |
-                                       static_cast<uint8_t>(Merged));
-    if (F.compare_exchange_weak(Old, New, std::memory_order_relaxed))
-      return true;
-  }
+  Hdr->setMemTag(Merged);
+  return true;
 }
 
-/// Claims the object for this scavenge: CAS the forwarding word from 0 to
-/// the sentinel. Exactly one thread wins per object.
-bool claimAtomic(ObjectHeader *Hdr) {
-  std::atomic_ref<uint64_t> Fwd(Hdr->Forward);
-  uint64_t Expected = 0;
-  return Fwd.compare_exchange_strong(Expected, ClaimedSentinel,
-                                     std::memory_order_relaxed);
+/// Claims the object for this scavenge: sets the forwarding word from 0 to
+/// the sentinel. Returns false when it was already claimed.
+bool claim(ObjectHeader *Hdr) {
+  if (Hdr->Forward != 0)
+    return false;
+  Hdr->Forward = ClaimedSentinel;
+  return true;
 }
 
-/// One minor collection's parallel-scavenge state. Constructed per GC on
-/// the caller's stack; shares the heap, the collector's stats, and the
-/// pool.
-class ParallelScavenge {
+/// One minor collection's scavenge state. Constructed per GC on the
+/// caller's stack; shares the heap and the collector's stats.
+class Scavenge {
 public:
-  ParallelScavenge(heap::Heap &H, GcStats &Stats,
-                   support::WorkStealingPool &Pool)
-      : H(H), Stats(Stats), Pool(Pool), Workers(Pool.numWorkers()),
-        Map(H.memory().map()) {}
+  Scavenge(heap::Heap &H, GcStats &Stats)
+      : H(H), Stats(Stats), Map(H.memory().map()) {}
 
   void collect(GcEvent &Event) {
     prepare();
@@ -326,9 +298,9 @@ private:
   /// Slot ranges a dirty card's scan covers: each intersecting object's
   /// slots clamped to the card, or -- under the §4.2.3 shared-array rule --
   /// every slot of every intersecting object. Computed against the
-  /// snapshotted old-space frontier, so the parallel discover pass and the
-  /// serial fixup pass see the identical object population even though
-  /// planning extends the old spaces in between.
+  /// snapshotted old-space frontier, so the discover pass and the fixup
+  /// pass see the identical object population even though planning
+  /// extends the old spaces in between.
   struct CardRange {
     uint64_t Addr;
     uint32_t Begin, End;
@@ -390,7 +362,6 @@ private:
   //===--- phase 0: prepare -----------------------------------------------===
 
   void prepare() {
-    H.forEachRoot([this](ObjRef &R) { Roots.push_back(&R); });
     TopDram = H.oldDram().top();
     TopNvm = H.oldNvm().top();
     CardTable &Cards = H.cardTable();
@@ -405,79 +376,59 @@ private:
     }
   }
 
-  //===--- phase 1: discover (parallel) -----------------------------------===
+  //===--- phase 1: discover ----------------------------------------------===
 
-  void enqueue(uint64_t Addr, unsigned W) {
-    Pending.fetch_add(1);
-    Deques[W]->push(Addr);
-  }
-
-  void visitYoung(uint64_t Addr, MemTag Incoming, unsigned W) {
+  void visitYoung(uint64_t Addr, MemTag Incoming) {
     ObjectHeader *Hdr = H.header(Addr);
-    bool Claimed = claimAtomic(Hdr);
-    bool Raised = raiseTagAtomic(Hdr, Incoming);
-    // A raise on an already-claimed object re-enqueues it so its children
+    bool Claimed = claim(Hdr);
+    bool Raised = raiseTag(Hdr, Incoming);
+    // A raise on an already-scanned object re-enqueues it so its children
     // observe the stronger tag; the monotone merge bounds re-scans at two
-    // per object and makes the fixpoint schedule-independent.
+    // per object and makes the fixpoint independent of worklist order.
     if (Claimed || Raised)
-      enqueue(Addr, W);
+      Worklist.push_back(Addr);
   }
 
-  void scanObject(uint64_t Addr, unsigned W) {
+  void scanObject(uint64_t Addr) {
     ObjectHeader *Hdr = H.header(Addr);
-    MemTag Tag = loadTagAtomic(Hdr);
+    MemTag Tag = Hdr->memTag();
     uint32_t N = Hdr->numRefSlots();
     for (uint32_t I = 0; I != N; ++I) {
       ObjRef Child = H.rawLoadRef(Addr, I);
       if (Child && inCollectedYoung(Child.addr()))
-        visitYoung(Child.addr(), Tag, W);
+        visitYoung(Child.addr(), Tag);
     }
   }
 
-  void scanDirtyCard(const CardWork &C, unsigned W);
-
-  void discover() {
-    Deques.reserve(Workers);
-    for (unsigned W = 0; W != Workers; ++W)
-      Deques.push_back(std::make_unique<support::ChaseLevDeque<uint64_t>>());
-    size_t NumItems = Roots.size() + DirtyCards.size();
-    Pending.store(NumItems);
-    Pool.runOnWorkers([this, NumItems](unsigned W) {
-      // Striped initial work: roots first, then dirty cards.
-      for (size_t I = W; I < NumItems; I += Workers) {
-        if (I < Roots.size()) {
-          ObjRef R = *Roots[I];
-          if (R && inCollectedYoung(R.addr()))
-            visitYoung(R.addr(), MemTag::None, W);
-        } else {
-          scanDirtyCard(DirtyCards[I - Roots.size()], W);
-        }
-        Pending.fetch_sub(1);
+  void scanDirtyCard(const CardWork &C) {
+    CardScan CS = collectCardRanges(*C.S, C.Idx, topOf(C.S));
+    for (const CardRange &R : CS.Ranges) {
+      MemTag Tag = H.header(R.Addr)->memTag(); // old gen: stable during GC
+      for (uint32_t S = R.Begin; S != R.End; ++S) {
+        ObjRef Child = H.rawLoadRef(R.Addr, S);
+        if (Child && inCollectedYoung(Child.addr()))
+          visitYoung(Child.addr(), Tag);
       }
-      // Work-stealing trace to the claim/tag fixpoint.
-      for (;;) {
-        uint64_t Addr;
-        if (Deques[W]->pop(Addr)) {
-          scanObject(Addr, W);
-          Pending.fetch_sub(1);
-          continue;
-        }
-        bool Stole = false;
-        for (unsigned I = 1; I != Workers && !Stole; ++I)
-          Stole = Deques[(W + I) % Workers]->steal(Addr);
-        if (Stole) {
-          scanObject(Addr, W);
-          Pending.fetch_sub(1);
-          continue;
-        }
-        if (Pending.load() == 0)
-          break;
-        std::this_thread::yield();
-      }
-    });
+    }
   }
 
-  //===--- phase 2: plan (serial) -----------------------------------------===
+  /// Seeds the worklist from the roots, then the dirty cards, and drains
+  /// it last-in first-out to the claim/tag fixpoint.
+  void discover() {
+    H.forEachRoot([this](ObjRef &R) {
+      if (inCollectedYoung(R.addr()))
+        visitYoung(R.addr(), MemTag::None);
+    });
+    for (const CardWork &C : DirtyCards)
+      scanDirtyCard(C);
+    while (!Worklist.empty()) {
+      uint64_t Addr = Worklist.back();
+      Worklist.pop_back();
+      scanObject(Addr);
+    }
+  }
+
+  //===--- phase 2: plan --------------------------------------------------===
 
   /// Per-space promotion buffer: a bump extent carved from the owning
   /// space. Retiring a partially used extent plugs the remainder with a
@@ -633,16 +584,12 @@ private:
     retirePlab(NvmPlab);
   }
 
-  //===--- phase 3: copy (parallel) ---------------------------------------===
+  //===--- phase 3: copy --------------------------------------------------===
 
   void copy() {
-    Tallies.assign(Workers, GcTally());
-    DirtySlots.assign(Workers, {});
-    Pool.run(Moves.size(), [this](size_t I, unsigned W) {
-      const Move &M = Moves[I];
-      GcTally &T = Tallies[W];
-      T.add(Map, M.Old, M.Size, /*IsWrite=*/false);
-      T.add(Map, M.New, M.Size, /*IsWrite=*/true);
+    for (const Move &M : Moves) {
+      Drain.add(Map, M.Old, M.Size, /*IsWrite=*/false);
+      Drain.add(Map, M.New, M.Size, /*IsWrite=*/true);
       std::memcpy(H.rawBytes(M.New), H.rawBytes(M.Old), M.Size);
       ObjectHeader *NewHdr = H.header(M.New);
       NewHdr->Forward = 0;
@@ -653,26 +600,26 @@ private:
       uint32_t N = NewHdr->numRefSlots();
       for (uint32_t S = 0; S != N; ++S) {
         uint64_t SlotAddr = H.refSlotAddr(M.New, S);
-        T.add(Map, SlotAddr, heap::RefSlotBytes, /*IsWrite=*/false);
+        Drain.add(Map, SlotAddr, heap::RefSlotBytes, /*IsWrite=*/false);
         ObjRef Child = H.rawLoadRef(M.New, S);
         if (!Child)
           continue;
         if (inCollectedYoung(Child.addr())) {
           ObjRef Moved(H.header(Child.addr())->Forward);
           H.rawStoreRef(M.New, S, Moved);
-          T.add(Map, SlotAddr, heap::RefSlotBytes, /*IsWrite=*/true);
+          Drain.add(Map, SlotAddr, heap::RefSlotBytes, /*IsWrite=*/true);
           Child = Moved;
         }
         // Promoted objects still pointing into the young generation must
         // be visible to the next minor GC's card scan; the dirtying is
         // deferred so it lands after the fixup phase's clean decisions.
         if (ParentOld && H.isYoung(Child.addr()))
-          DirtySlots[W].push_back(SlotAddr);
+          DirtySlots.push_back(SlotAddr);
       }
-    });
+    }
   }
 
-  //===--- phase 4: fixup (serial) ----------------------------------------===
+  //===--- phase 4: fixup -------------------------------------------------===
 
   void fixup(GcEvent &Event) {
     H.forEachRoot([this](ObjRef &R) {
@@ -720,20 +667,15 @@ private:
     // Re-dirty the cards of promoted objects that still reference young
     // survivors -- strictly after the clean decisions above, which would
     // otherwise clean a card a promoted object just dirtied.
-    for (const std::vector<uint64_t> &V : DirtySlots)
-      for (uint64_t SlotAddr : V)
-        Cards.dirtyCardFor(SlotAddr);
+    for (uint64_t SlotAddr : DirtySlots)
+      Cards.dirtyCardFor(SlotAddr);
 
-    // Single bulk charge per task family; the integer counts were merged
-    // above, so time is identical at every worker count. Root handles live
-    // outside simulated memory, so scanning them is free -- the copies it
-    // caused are part of the drain tally.
+    // One bulk charge per task family. Root handles live outside simulated
+    // memory, so scanning them is free -- the copies it caused are part of
+    // the drain tally.
     memsim::HybridMemory &Mem = H.memory();
     Event.DramToYoungTaskNs = Mem.flushShard(DramCards);
     Event.NvmToYoungTaskNs = Mem.flushShard(NvmCards);
-    GcTally Drain;
-    for (const GcTally &T : Tallies)
-      Drain.merge(T);
     Event.DrainNs = Mem.flushShard(Drain);
   }
 
@@ -741,41 +683,25 @@ private:
 
   heap::Heap &H;
   GcStats &Stats;
-  support::WorkStealingPool &Pool;
-  unsigned Workers;
   const memsim::AddressMap &Map;
 
-  std::vector<ObjRef *> Roots;
   std::vector<CardWork> DirtyCards;
   uint64_t TopDram = 0, TopNvm = 0;
 
-  std::vector<std::unique_ptr<support::ChaseLevDeque<uint64_t>>> Deques;
-  std::atomic<size_t> Pending{0};
+  std::vector<uint64_t> Worklist;
 
   Plab DramPlab, NvmPlab;
   std::vector<Move> Moves;
 
-  std::vector<GcTally> Tallies;
-  std::vector<std::vector<uint64_t>> DirtySlots;
+  GcTally Drain;
+  std::vector<uint64_t> DirtySlots;
 };
-
-void ParallelScavenge::scanDirtyCard(const CardWork &C, unsigned W) {
-  CardScan CS = collectCardRanges(*C.S, C.Idx, topOf(C.S));
-  for (const CardRange &R : CS.Ranges) {
-    MemTag Tag = H.header(R.Addr)->memTag(); // old gen: stable during GC
-    for (uint32_t S = R.Begin; S != R.End; ++S) {
-      ObjRef Child = H.rawLoadRef(R.Addr, S);
-      if (Child && inCollectedYoung(Child.addr()))
-        visitYoung(Child.addr(), Tag, W);
-    }
-  }
-}
 
 } // namespace
 
-void Collector::scavengeParallel(GcEvent &Event) {
-  ParallelScavenge PS(H, Stats, Pool);
-  PS.collect(Event);
+void Collector::scavenge(GcEvent &Event) {
+  Scavenge S(H, Stats);
+  S.collect(Event);
 }
 
 void Collector::maybeTriggerMajor() {
@@ -824,75 +750,42 @@ void Collector::maybeTriggerMajor() {
 // Major GC
 //===----------------------------------------------------------------------===
 
-void Collector::markParallelFromRoots() {
-  // Work-stealing mark. Exactly one worker claims each object (an atomic
-  // fetch_or of the mark bit), and the claimer scans it, so every header
-  // and slot is tallied exactly once regardless of scheduling -- the
-  // merged traffic counts, and hence MarkNs, are worker-count invariant.
-  unsigned Workers = Pool.numWorkers();
-  std::vector<std::unique_ptr<support::ChaseLevDeque<uint64_t>>> Deques;
-  Deques.reserve(Workers);
-  for (unsigned W = 0; W != Workers; ++W)
-    Deques.push_back(std::make_unique<support::ChaseLevDeque<uint64_t>>());
-  std::vector<uint64_t> Roots;
-  H.forEachRoot([&Roots](ObjRef &R) { Roots.push_back(R.addr()); });
-  std::atomic<size_t> Pending{Roots.size()};
-  std::vector<GcTally> Tallies(Workers);
+void Collector::markFromRoots() {
+  // Stack-based mark. Each object is scanned once, when its mark bit is
+  // first set, so every header and slot is tallied exactly once.
+  std::vector<uint64_t> Stack;
+  GcTally T;
   const memsim::AddressMap &Map = H.memory().map();
-
   auto Claim = [this](uint64_t Addr) {
-    std::atomic_ref<uint8_t> F(H.header(Addr)->Flags);
-    uint8_t Old =
-        F.fetch_or(ObjectHeader::MarkBit, std::memory_order_relaxed);
-    return (Old & ObjectHeader::MarkBit) == 0;
-  };
-  auto Scan = [&](uint64_t Addr, unsigned W) {
     ObjectHeader *Hdr = H.header(Addr);
-    GcTally &T = Tallies[W];
+    if (Hdr->isMarked())
+      return false;
+    Hdr->setMarked(true);
+    return true;
+  };
+  auto Scan = [&](uint64_t Addr) {
+    ObjectHeader *Hdr = H.header(Addr);
     T.add(Map, Addr, sizeof(ObjectHeader), /*IsWrite=*/false);
     uint32_t N = Hdr->numRefSlots();
     for (uint32_t I = 0; I != N; ++I) {
       T.add(Map, H.refSlotAddr(Addr, I), heap::RefSlotBytes,
             /*IsWrite=*/false);
       ObjRef Child = H.rawLoadRef(Addr, I);
-      if (Child && Claim(Child.addr())) {
-        Pending.fetch_add(1);
-        Deques[W]->push(Child.addr());
-      }
+      if (Child && Claim(Child.addr()))
+        Stack.push_back(Child.addr());
     }
   };
 
-  Pool.runOnWorkers([&](unsigned W) {
-    for (size_t I = W; I < Roots.size(); I += Workers) {
-      if (Claim(Roots[I]))
-        Scan(Roots[I], W);
-      Pending.fetch_sub(1);
-    }
-    for (;;) {
-      uint64_t Addr;
-      if (Deques[W]->pop(Addr)) {
-        Scan(Addr, W);
-        Pending.fetch_sub(1);
-        continue;
-      }
-      bool Stole = false;
-      for (unsigned I = 1; I != Workers && !Stole; ++I)
-        Stole = Deques[(W + I) % Workers]->steal(Addr);
-      if (Stole) {
-        Scan(Addr, W);
-        Pending.fetch_sub(1);
-        continue;
-      }
-      if (Pending.load() == 0)
-        break;
-      std::this_thread::yield();
-    }
+  H.forEachRoot([&](ObjRef &R) {
+    if (Claim(R.addr()))
+      Scan(R.addr());
   });
-
-  GcTally Total;
-  for (const GcTally &T : Tallies)
-    Total.merge(T);
-  H.memory().flushShard(Total);
+  while (!Stack.empty()) {
+    uint64_t Addr = Stack.back();
+    Stack.pop_back();
+    Scan(Addr);
+  }
+  H.memory().flushShard(T);
 }
 
 //===----------------------------------------------------------------------===
@@ -1394,7 +1287,7 @@ void Collector::collectMajor(const char *Reason) {
     double PhaseStart = H.memory().gcTimeNs();
     if (IncActive)
       finishIncrementalMark();
-    markParallelFromRoots();
+    markFromRoots();
     Event.MarkNs = H.memory().gcTimeNs() - PhaseStart;
     planMigrations();
     PhaseStart = H.memory().gcTimeNs();

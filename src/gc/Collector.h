@@ -44,7 +44,6 @@ namespace memsim {
 class MigrationEngine;
 } // namespace memsim
 namespace support {
-class WorkStealingPool;
 class MetricsRegistry;
 class TraceLog;
 } // namespace support
@@ -101,13 +100,10 @@ struct GcStats {
 /// The generational collector. One instance per Heap.
 class Collector : public heap::GcHost {
 public:
-  /// Every collection runs on \p Pool: the minor GC as the deterministic
-  /// work-stealing scavenge (docs/parallelism.md), the major GC's mark as
-  /// a work-stealing trace. Results and simulated time are invariant in
-  /// the pool's worker count, so a 1-worker pool is the sequential
-  /// configuration.
-  Collector(heap::Heap &H, PolicyKind Policy, AccessMonitor *Monitor,
-            support::WorkStealingPool &Pool);
+  /// Collections run serially on the calling thread; the GC actor's
+  /// memory-level parallelism models the paper's GC threads (DESIGN.md,
+  /// "Why the collector is serial").
+  Collector(heap::Heap &H, PolicyKind Policy, AccessMonitor *Monitor);
   ~Collector() override;
 
   void collectMinor(const char *Reason) override;
@@ -162,15 +158,16 @@ private:
   bool scavengeHeadroomOk() const;
   void maybeTriggerMajor();
 
-  /// The work-stealing scavenge (claim / plan / copy / fixup phases).
-  /// Fills the Event phase fields.
-  void scavengeParallel(GcEvent &Event);
+  /// The scavenge (discover / plan / copy / fixup phases). Fills the
+  /// Event phase fields.
+  void scavenge(GcEvent &Event);
 
   //===--- major GC -------------------------------------------------------===
-  /// Work-stealing mark (claim via an atomic mark-bit fetch_or).
-  void markParallelFromRoots();
+  /// Stop-the-world mark: sets the mark bit of everything reachable from
+  /// the roots and charges the traversal as one bulk tally.
+  void markFromRoots();
   /// Publishes one finished collection's telemetry (histograms, occupancy
-  /// gauges, trace spans). Runs at the serial Events.push_back point.
+  /// gauges, trace spans). Runs at the Events.push_back point.
   void emitTelemetry(const GcEvent &Event);
   void planMigrations();
   void propagateMigrationTag(uint64_t ArrayAddr, MemTag Target);
@@ -203,7 +200,6 @@ private:
   heap::Heap &H;
   PolicyKind Policy;
   AccessMonitor *Monitor;
-  support::WorkStealingPool &Pool;
   support::MetricsRegistry *Metrics = nullptr;
   support::TraceLog *TraceSink = nullptr;
   memsim::MigrationEngine *Migration = nullptr;
@@ -213,7 +209,7 @@ private:
   uint64_t MinorsAtLastMajor = 0;
   std::vector<GcEvent> Events;
   // Incremental-cycle state. The gray stack holds only old-generation
-  // addresses (stable across minor GCs); all touched serially.
+  // addresses (stable across minor GCs).
   bool IncActive = false;
   std::vector<uint64_t> IncStack;
   uint64_t AllocsSinceStep = 0;

@@ -88,7 +88,7 @@ private:
 
   /// Walks every space object-by-object and checks that the headers tile
   /// the space exactly -- no gap, no overlap, walk ending exactly at the
-  /// allocation frontier. This is what catches a parallel scavenge that
+  /// allocation frontier. This is what catches a scavenge that
   /// retires a PLAB remainder without writing a well-formed filler over
   /// it. For the old generation it additionally cross-checks the card
   /// table's first-object map: every entry must name the lowest object

@@ -75,7 +75,7 @@ struct HeapStats {
                                        ///< in NVM because DRAM was full.
   uint64_t RefStores = 0;
   uint64_t CardPaddingWasteBytes = 0;
-  // Parallel-scavenge promotion buffers (PLABs).
+  // Scavenge promotion buffers (PLABs).
   uint64_t GcPlabRefills = 0;    ///< Promotion-buffer extents carved.
   uint64_t GcPlabWasteBytes = 0; ///< Filler bytes retiring PLAB remainders.
   // Staged OOM-fallback counters.
@@ -363,7 +363,7 @@ public:
   uint64_t allocateInOld(uint64_t Bytes, MemTag Tag, bool IsRddArray);
 
   /// Writes a dead filler object over [Addr, Addr+Bytes) and records its
-  /// start so the space stays walkable. The parallel scavenge uses this to
+  /// start so the space stays walkable. The scavenge uses this to
   /// retire promotion-buffer (PLAB) remainders; no waste stat is charged
   /// here -- callers account the waste to the right counter.
   void writeFillerObject(uint64_t Addr, uint64_t Bytes);

@@ -19,7 +19,7 @@
 /// by the MigrationEngine (Migration.h), which swaps hot-NVM / cold-DRAM
 /// page runs between collections. Determinism: samples are taken at exact
 /// line-counter crossings of the accounted access stream, which the
-/// engine's serial stage execution makes identical at every thread count.
+/// engine's serial stage execution makes identical from run to run.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -57,11 +57,10 @@ enum class AccessPathMode {
   PerLine, ///< Reference: one full pipeline evaluation per touched line.
 };
 
-/// Per-worker integer traffic counts accumulated off the shared simulator
-/// and charged in one bulk flush at a safepoint, so simulated time stays
-/// independent of worker scheduling (no floating-point accumulation-order
-/// variance) and parallel phases stop serializing on the accounting.
-/// This is the promoted form of the collector's per-worker GcTally.
+/// Integer traffic counts accumulated off the shared simulator and charged
+/// in one bulk flush per GC phase (HybridMemory::flushShard), so a phase's
+/// simulated time is one multiplication per device and direction, whatever
+/// order the phase touched its lines in. The collector's GcTally.
 struct TrafficShard {
   uint64_t DramReads = 0;
   uint64_t DramWrites = 0;
@@ -88,13 +87,6 @@ struct TrafficShard {
         (Dram ? DramReads : NvmReads) += Run;
       L = PageLast + 1;
     }
-  }
-
-  void merge(const TrafficShard &O) {
-    DramReads += O.DramReads;
-    DramWrites += O.DramWrites;
-    NvmReads += O.NvmReads;
-    NvmWrites += O.NvmWrites;
   }
 };
 
@@ -171,18 +163,16 @@ public:
   /// actor's clock. The Spark engine uses this for per-record compute.
   void addCpuWorkNs(double Ns);
 
-  /// Bulk accounting used by the parallel collector: charges whole
-  /// cache-line counts per device and direction at the current actor's
-  /// miss cost, bumping the traffic counters and the bandwidth trace.
-  /// The counts are integers merged across GC workers before the single
-  /// cost multiplication, so the simulated time is bit-identical at every
-  /// thread count (no cache-model state is involved: a scavenge streams
-  /// far more data than the LLC holds, so it is modeled as all misses at
-  /// the GC's bandwidth-bound MLP).
+  /// Bulk accounting used by the collector's scavenge and mark: charges
+  /// whole cache-line counts per device and direction at the current
+  /// actor's miss cost, bumping the traffic counters and the bandwidth
+  /// trace. No cache-model state is involved: a scavenge streams far more
+  /// data than the LLC holds, so it is modeled as all misses at the GC's
+  /// bandwidth-bound MLP.
   void chargeBulkLines(uint64_t DramReads, uint64_t DramWrites,
                        uint64_t NvmReads, uint64_t NvmWrites);
 
-  /// Flushes a worker's TrafficShard through chargeBulkLines and returns
+  /// Flushes a TrafficShard through chargeBulkLines and returns
   /// the simulated ns the flush added to the current actor's clock.
   double flushShard(const TrafficShard &S) {
     double Before = ActorNs[static_cast<unsigned>(Current)];

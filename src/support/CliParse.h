@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Strict numeric parsing for command-line flags, replacing the silent
-/// atoi/atof calls that turned "--threads=abc" into 0 and "--heap=x" into
+/// atoi/atof calls that turned "--executors=abc" into 0 and "--heap=x" into
 /// a 0-GB heap. Every parser rejects empty input, trailing garbage,
 /// out-of-range values, and (for the unsigned parser) negative numbers,
 /// returning false instead of fabricating a zero; callers print a

@@ -140,18 +140,6 @@ public:
   }
   uint64_t totalFired() const;
 
-  /// Seed for a worker-local randomness stream decorrelated from the plan
-  /// seed and from every other worker's stream. Code running on pool
-  /// worker \p StreamId that needs private randomness (beyond the shared
-  /// per-site schedules above) must draw from SplitMix64(childSeed(Id))
-  /// rather than sharing a sequential stream, so its draws do not depend
-  /// on how work was interleaved across workers.
-  uint64_t childSeed(uint64_t StreamId) const {
-    SplitMix64 Mix(Plan.Seed ^
-                   (0x9e3779b97f4a7c15ull * (StreamId + 1)));
-    return Mix.next();
-  }
-
   bool suppressed() const {
     return SuppressDepth.load(std::memory_order_relaxed) > 0;
   }

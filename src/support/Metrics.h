@@ -12,12 +12,12 @@
 /// heap, and the memory simulator all publish into it, and the flat-JSON
 /// exporter replaces the per-bench hand-rolled plumbing.
 ///
-/// Every exported number derives from the simulated clock and from counters
-/// that PR 2's determinism contract already keeps thread-invariant, so the
-/// serialized registry is byte-identical at every --threads value. To keep
-/// it that way the exporter iterates std::map (sorted keys) and prints
-/// doubles with %.17g (round-trip exact); non-finite values (the empty
-/// histogram's NaN min/max) serialize as null.
+/// Every exported number derives from the simulated clock and from
+/// deterministic counters, so the serialized registry is byte-identical
+/// from run to run. To keep it that way the exporter iterates std::map
+/// (sorted keys) and prints doubles with %.17g (round-trip exact);
+/// non-finite values (the empty histogram's NaN min/max) serialize as
+/// null.
 ///
 /// Registration is idempotent: counter("gc.minor_gcs") returns the same
 /// object on every call, so instrumentation sites need no setup phase.

@@ -8,8 +8,7 @@
 /// An append-only trace of spans (GC pauses with per-phase sub-spans,
 /// stages, per-partition tasks) and instant events (OOM-degradation
 /// steps), all stamped with the *simulated* clock from HybridMemory --
-/// never the wall clock, so the export is byte-identical at every
-/// --threads value.
+/// never the wall clock, so the export is byte-identical from run to run.
 ///
 /// The exporter emits the chrome://tracing JSON object format
 /// ({"traceEvents":[...]}): complete events (ph "X") for spans, instant
@@ -20,7 +19,7 @@
 ///
 /// Emission runs only on the serial driver path (task scheduling, the GC
 /// entry points, the heap's OOM fallback) -- the log is not thread-safe,
-/// and does not need to be under PR 2's execution model.
+/// and does not need to be: the runtime starts no threads.
 ///
 //===----------------------------------------------------------------------===//
 

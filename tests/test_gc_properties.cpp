@@ -14,7 +14,6 @@
 #include "gc/Collector.h"
 #include "gc/HeapVerifier.h"
 #include "support/Random.h"
-#include "support/ThreadPool.h"
 #include "support/Units.h"
 
 #include <gtest/gtest.h>
@@ -49,8 +48,7 @@ TEST_P(GcFuzz, GraphSurvivesChurnUnderEveryPolicy) {
       HeapConfig::alignPage(4096 + HC.HeapBytes + HC.NativeBytes),
       memsim::MemoryTechnology{}, memsim::CacheConfig{});
   Heap H(HC, *Mem);
-  support::WorkStealingPool Pool(1);
-  Collector C(H, Policy, nullptr, Pool);
+  Collector C(H, Policy, nullptr);
 
   SplitMix64 Rng(Seed);
   constexpr int NumRoots = 24;
@@ -172,8 +170,7 @@ TEST_P(GcOptionSweep, TaggedArrayGraphsSurviveCollections) {
       HeapConfig::alignPage(4096 + HC.HeapBytes + HC.NativeBytes),
       memsim::MemoryTechnology{}, memsim::CacheConfig{});
   Heap H(HC, *Mem);
-  support::WorkStealingPool Pool(1);
-  Collector C(H, PolicyKind::Panthera, nullptr, Pool);
+  Collector C(H, PolicyKind::Panthera, nullptr);
 
   std::vector<size_t> Roots;
   for (int A = 0; A != 4; ++A) {

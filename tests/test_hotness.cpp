@@ -6,7 +6,7 @@
 ///
 /// The online hotness profiler (memsim/HotnessTracker), the between-GC
 /// migration engine (memsim/Migration), and the end-to-end contracts of
-/// --policy=dynamic: determinism across thread and executor counts, byte
+/// --policy=dynamic: determinism across runs and executor counts, byte
 /// identity with static Panthera when profiling is disabled, and actual
 /// migration activity on the shifting-working-set workload.
 ///
@@ -238,14 +238,12 @@ struct RunResult {
   core::RunReport Report;
 };
 
-RunResult runSw(gc::PolicyKind Policy, unsigned Threads = 1,
-                unsigned Executors = 1, uint64_t SampleEvery = 64,
-                double Scale = 0.25) {
+RunResult runSw(gc::PolicyKind Policy, unsigned Executors = 1,
+                uint64_t SampleEvery = 64, double Scale = 0.25) {
   const workloads::WorkloadSpec *Spec = workloads::findWorkload("SW");
   EXPECT_NE(Spec, nullptr);
   core::RuntimeConfig Config;
   Config.Policy = Policy;
-  Config.NumThreads = Threads;
   Config.Cluster.NumExecutors = Executors;
   Config.HotnessSampleEvery = SampleEvery;
   core::Runtime RT(Config);
@@ -277,24 +275,24 @@ TEST(DynamicPolicy, ChecksumMatchesEveryOtherPolicy) {
 }
 
 TEST(DynamicPolicy, DeterministicAcrossThreadCounts) {
-  RunResult One = runSw(gc::PolicyKind::PantheraDynamic, /*Threads=*/1);
-  RunResult Eight = runSw(gc::PolicyKind::PantheraDynamic, /*Threads=*/8);
-  EXPECT_DOUBLE_EQ(One.Checksum, Eight.Checksum);
-  EXPECT_EQ(One.Metrics, Eight.Metrics)
-      << "profiling and migration must be invariant to worker scheduling";
-  EXPECT_EQ(One.Trace, Eight.Trace);
+  RunResult One = runSw(gc::PolicyKind::PantheraDynamic);
+  RunResult Again = runSw(gc::PolicyKind::PantheraDynamic);
+  EXPECT_DOUBLE_EQ(One.Checksum, Again.Checksum);
+  EXPECT_EQ(One.Metrics, Again.Metrics)
+      << "profiling and migration must replay identically";
+  EXPECT_EQ(One.Trace, Again.Trace);
 }
 
 TEST(DynamicPolicy, ChecksumInvariantAcrossExecutorCounts) {
-  RunResult Single = runSw(gc::PolicyKind::PantheraDynamic, 1, /*Execs=*/1);
-  RunResult Quad = runSw(gc::PolicyKind::PantheraDynamic, 1, /*Execs=*/4);
+  RunResult Single = runSw(gc::PolicyKind::PantheraDynamic, /*Execs=*/1);
+  RunResult Quad = runSw(gc::PolicyKind::PantheraDynamic, /*Execs=*/4);
   EXPECT_DOUBLE_EQ(Single.Checksum, Quad.Checksum);
 }
 
 TEST(DynamicPolicy, SampleZeroIsByteIdenticalToStaticPanthera) {
   RunResult Static = runSw(gc::PolicyKind::Panthera);
   RunResult Off =
-      runSw(gc::PolicyKind::PantheraDynamic, 1, 1, /*SampleEvery=*/0);
+      runSw(gc::PolicyKind::PantheraDynamic, 1, /*SampleEvery=*/0);
   EXPECT_DOUBLE_EQ(Off.Checksum, Static.Checksum);
   EXPECT_EQ(Off.Metrics, Static.Metrics)
       << "with profiling off the dynamic policy must not perturb one bit";

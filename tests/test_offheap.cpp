@@ -33,13 +33,11 @@ namespace {
 class OffHeapTest : public ::testing::Test {
 protected:
   void makeRuntime(unsigned OffHeapMB = core::RuntimeConfig().OffHeapMB,
-                   unsigned Threads = 0, unsigned Executors = 1) {
+                   unsigned Executors = 1) {
     core::RuntimeConfig Config;
     Config.Policy = gc::PolicyKind::Panthera;
     Config.HeapPaperGB = 16;
     Config.OffHeapMB = OffHeapMB;
-    if (Threads)
-      Config.NumThreads = Threads;
     Config.Cluster.NumExecutors = Executors;
     RT = std::make_unique<core::Runtime>(Config);
   }
@@ -365,17 +363,16 @@ TEST_F(OffHeapTest, TierOffIsInert) {
 }
 
 TEST_F(OffHeapTest, ChecksumInvariantAcrossThreadsAndExecutors) {
-  auto SumWith = [&](unsigned Threads, unsigned Executors) {
-    makeRuntime(/*OffHeapMB=*/256, Threads, Executors);
+  auto SumWith = [&](unsigned Executors) {
+    makeRuntime(/*OffHeapMB=*/256, Executors);
     SourceData Data = makeData(4000);
     Rdd R = persistOffHeap(&Data);
     R.count(); // materialize into the tier first
     return R.reduce([](double A, double B) { return A + B; });
   };
-  double Base = SumWith(1, 1);
-  EXPECT_DOUBLE_EQ(Base, SumWith(4, 1));
-  EXPECT_DOUBLE_EQ(Base, SumWith(1, 2));
-  EXPECT_DOUBLE_EQ(Base, SumWith(2, 3));
+  double Base = SumWith(1);
+  EXPECT_DOUBLE_EQ(Base, SumWith(2));
+  EXPECT_DOUBLE_EQ(Base, SumWith(3));
 }
 
 } // namespace

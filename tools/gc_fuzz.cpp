@@ -38,7 +38,6 @@ void usage(const char *Argv0) {
       "(default 1)\n"
       "  --config=NAME    dram | split | pressure | incremental | offheap "
       "(default split)\n"
-      "  --threads=N      GC workers, 1..64 (default 1)\n"
       "  --executors=N    replay each schedule on N independent executor\n"
       "                   heaps and require bit-identical heap digests;\n"
       "                   also interleaves seeded slow-executor (forced\n"
@@ -90,12 +89,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
                      S);
         return false;
       }
-    } else if (const char *S = Val("--threads=")) {
-      if (!support::parseUnsigned(S, 1, 64, V)) {
-        std::fprintf(stderr, "gc_fuzz: bad --threads '%s' (1..64)\n", S);
-        return false;
-      }
-      O.Fuzz.Threads = static_cast<unsigned>(V);
     } else if (const char *S = Val("--executors=")) {
       if (!support::parseUnsigned(S, 1, 4, V)) {
         std::fprintf(stderr, "gc_fuzz: bad --executors '%s' (1..4)\n", S);
@@ -154,10 +147,9 @@ int main(int Argc, char **Argv) {
     }
 
     ++Failures;
-    std::printf("DIVERGENCE seed=%" PRIu64 " ops=%zu config=%s "
-                "threads=%u\n  at %s\n",
+    std::printf("DIVERGENCE seed=%" PRIu64 " ops=%zu config=%s\n  at %s\n",
                 Opts.Seed, Opts.NumOps, fuzzConfigName(Opts.Config),
-                Opts.Threads, R.Problem.c_str());
+                R.Problem.c_str());
     if (O.Shrink) {
       size_t Minimal = shrinkToMinimalOps(Opts);
       std::printf("  shrunk to %zu actions\n", Minimal);
@@ -169,10 +161,8 @@ int main(int Argc, char **Argv) {
                   Small.Ok ? "(did not refail -- flaky?)"
                            : Small.Problem.c_str());
     }
-    std::printf("  replay: gc_fuzz --seed=%" PRIu64 " --ops=%zu "
-                "--config=%s --threads=%u",
-                Opts.Seed, Opts.NumOps, fuzzConfigName(Opts.Config),
-                Opts.Threads);
+    std::printf("  replay: gc_fuzz --seed=%" PRIu64 " --ops=%zu --config=%s",
+                Opts.Seed, Opts.NumOps, fuzzConfigName(Opts.Config));
     if (Opts.Executors > 1)
       std::printf(" --executors=%u", Opts.Executors);
     std::printf("\n");

@@ -17,7 +17,7 @@
 ///                [--inc-step-allocs=N] [--offheap-mb=N]
 ///                [--heap=64] [--ratio=0.333] [--scale=1.0]
 ///                [--nursery=0.1667] [--no-eager] [--no-padding]
-///                [--threads=N] [--gclog] [--verify] [--list] [--help]
+///                [--gclog] [--verify] [--list] [--help]
 ///                [--metrics-json=FILE] [--trace-json=FILE]
 ///                [--fault=SITE:p=0.01] [--fault=SITE:nth=5]
 ///                [--fault-seed=N] [--task-retries=4] [--verify-recovery]
@@ -30,19 +30,11 @@
 /// fetch. Fault runs exit 2 if the workload still fails after the staged
 /// fallback and retries.
 ///
-/// --threads=N sets the worker-thread count of the parallel collector's
-/// scavenge and mark (docs/parallelism.md); stages run serially. 0 (the
-/// default) means auto: $PANTHERA_THREADS if set, otherwise the hardware
-/// thread count.
-/// Results and simulated time/energy are identical at every N; only
-/// wall-clock time changes.
-///
 //===----------------------------------------------------------------------===//
 
 #include "gc/Collector.h"
 #include "support/CliParse.h"
 #include "support/Errors.h"
-#include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
 
 #include <cstdio>
@@ -145,11 +137,7 @@ int main(int Argc, char **Argv) {
       Config.EagerPromotion = false;
     else if (std::strcmp(A, "--no-padding") == 0)
       Config.CardPadding = false;
-    else if (const char *V = Val("--threads=")) {
-      if (!support::parseUnsigned(V, 0, 4096, U))
-        return BadFlag(A, "an integer in [0, 4096]");
-      Config.NumThreads = static_cast<unsigned>(U);
-    } else if (std::strcmp(A, "--gclog") == 0)
+    else if (std::strcmp(A, "--gclog") == 0)
       GcLog = true;
     else if (std::strcmp(A, "--verify") == 0)
       Config.VerifyHeap = true;
@@ -299,11 +287,6 @@ int main(int Argc, char **Argv) {
           "  --ratio=F          DRAM : total memory (default 0.333)\n"
           "  --nursery=F        nursery fraction of the heap\n"
           "  --scale=F          dataset scale factor (default 1.0)\n"
-          "  --threads=N        worker threads of the parallel GC\n"
-          "                     (scavenge and mark); 0 = auto from\n"
-          "                     $PANTHERA_THREADS or the hardware thread\n"
-          "                     count. Output is identical at every N;\n"
-          "                     only wall-clock time changes.\n"
           "  --no-eager         disable eager promotion (ablation)\n"
           "  --no-padding       disable card padding (ablation)\n"
           "  --gclog            print the per-collection GC log\n"
@@ -366,9 +349,6 @@ int main(int Argc, char **Argv) {
   }
   Config.Policy = parsePolicy(Policy);
 
-  // Note: the banner deliberately omits the resolved worker count -- the
-  // whole report is byte-identical at every --threads value, and keeping
-  // it that way makes the invariance trivially checkable with diff(1).
   std::printf("%s under %s | heap %u GB, DRAM ratio %.3f, nursery %.3f, "
               "scale %.2f\n",
               Spec->FullName.c_str(), gc::policyName(Config.Policy),
