@@ -499,14 +499,6 @@ void Heap::writeBarrier(ObjRef Obj, uint64_t SlotAddr) {
   }
 }
 
-ObjRef Heap::loadRef(ObjRef Obj, uint32_t Slot) {
-  assert(Obj && "null dereference");
-  assert(Slot < header(Obj.addr())->numRefSlots() && "ref slot out of range");
-  uint64_t SlotAddr = refSlotAddr(Obj.addr(), Slot);
-  Mem.onAccess(SlotAddr, RefSlotBytes, /*IsWrite=*/false);
-  return rawLoadRef(Obj.addr(), Slot);
-}
-
 void Heap::storeRef(ObjRef Obj, uint32_t Slot, ObjRef Value) {
   assert(Obj && "null dereference");
   assert(Slot < header(Obj.addr())->numRefSlots() && "ref slot out of range");
@@ -568,64 +560,6 @@ void Heap::copyRefRange(ObjRef Dst, uint32_t DstFirst, ObjRef Src,
   }
 }
 
-int64_t Heap::loadI64(ObjRef Obj, uint32_t ByteOffset) {
-  uint64_t Addr = Obj.addr() + plainPayloadOffset(Obj) + ByteOffset;
-  Mem.onAccess(Addr, 8, /*IsWrite=*/false);
-  int64_t V;
-  std::memcpy(&V, &Buffer[Addr], sizeof(V));
-  return V;
-}
-
-void Heap::storeI64(ObjRef Obj, uint32_t ByteOffset, int64_t Value) {
-  uint64_t Addr = Obj.addr() + plainPayloadOffset(Obj) + ByteOffset;
-  Mem.onAccess(Addr, 8, /*IsWrite=*/true);
-  std::memcpy(&Buffer[Addr], &Value, sizeof(Value));
-  if (Config.Tuning.KwWriteMonitoring) {
-    ObjectHeader *H = header(Obj.addr());
-    if (H->WriteCount != UINT32_MAX)
-      ++H->WriteCount;
-  }
-}
-
-double Heap::loadF64(ObjRef Obj, uint32_t ByteOffset) {
-  uint64_t Addr = Obj.addr() + plainPayloadOffset(Obj) + ByteOffset;
-  Mem.onAccess(Addr, 8, /*IsWrite=*/false);
-  double V;
-  std::memcpy(&V, &Buffer[Addr], sizeof(V));
-  return V;
-}
-
-void Heap::storeF64(ObjRef Obj, uint32_t ByteOffset, double Value) {
-  uint64_t Addr = Obj.addr() + plainPayloadOffset(Obj) + ByteOffset;
-  Mem.onAccess(Addr, 8, /*IsWrite=*/true);
-  std::memcpy(&Buffer[Addr], &Value, sizeof(Value));
-}
-
-int64_t Heap::loadElemI64(ObjRef Array, uint32_t Index) {
-  assert(header(Array.addr())->kind() == ObjectKind::PrimArray &&
-         header(Array.addr())->Aux == 8 && "not an 8-byte prim array");
-  assert(Index < header(Array.addr())->Length && "index out of range");
-  uint64_t Addr = Array.addr() + sizeof(ObjectHeader) + Index * 8ull;
-  Mem.onAccess(Addr, 8, /*IsWrite=*/false);
-  int64_t V;
-  std::memcpy(&V, &Buffer[Addr], sizeof(V));
-  return V;
-}
-
-void Heap::storeElemI64(ObjRef Array, uint32_t Index, int64_t Value) {
-  assert(Index < header(Array.addr())->Length && "index out of range");
-  uint64_t Addr = Array.addr() + sizeof(ObjectHeader) + Index * 8ull;
-  Mem.onAccess(Addr, 8, /*IsWrite=*/true);
-  std::memcpy(&Buffer[Addr], &Value, sizeof(Value));
-}
-
-double Heap::loadElemF64(ObjRef Array, uint32_t Index) {
-  int64_t Bits = loadElemI64(Array, Index);
-  double V;
-  std::memcpy(&V, &Bits, sizeof(V));
-  return V;
-}
-
 void Heap::loadElemsI64(ObjRef Array, uint32_t FirstIndex, uint32_t Count,
                         int64_t *Dst) {
   if (Count == 0)
@@ -650,12 +584,6 @@ void Heap::storeElemsI64(ObjRef Array, uint32_t FirstIndex, uint32_t Count,
   uint64_t Addr = Array.addr() + sizeof(ObjectHeader) + FirstIndex * 8ull;
   Mem.onAccessRange(Addr, Count * 8ull, /*IsWrite=*/true, /*ElemBytes=*/8);
   std::memcpy(&Buffer[Addr], Src, Count * 8ull);
-}
-
-void Heap::storeElemF64(ObjRef Array, uint32_t Index, double Value) {
-  int64_t Bits;
-  std::memcpy(&Bits, &Value, sizeof(Bits));
-  storeElemI64(Array, Index, Bits);
 }
 
 void Heap::nativeWrite(uint64_t Addr, const void *Src, uint64_t Bytes) {

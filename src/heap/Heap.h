@@ -477,6 +477,81 @@ private:
   std::vector<size_t> FreePersistentSlots;
 };
 
+// The mutator's scalar accessors are inline: a single-line access that
+// hits the LLC's hinted way then costs no call (HybridMemory::onAccess).
+
+inline ObjRef Heap::loadRef(ObjRef Obj, uint32_t Slot) {
+  assert(Obj && "null dereference");
+  assert(Slot < header(Obj.addr())->numRefSlots() && "ref slot out of range");
+  uint64_t SlotAddr = refSlotAddr(Obj.addr(), Slot);
+  Mem.onAccess(SlotAddr, RefSlotBytes, /*IsWrite=*/false);
+  return rawLoadRef(Obj.addr(), Slot);
+}
+
+inline int64_t Heap::loadI64(ObjRef Obj, uint32_t ByteOffset) {
+  uint64_t Addr = Obj.addr() + plainPayloadOffset(Obj) + ByteOffset;
+  Mem.onAccess(Addr, 8, /*IsWrite=*/false);
+  int64_t V;
+  std::memcpy(&V, &Buffer[Addr], sizeof(V));
+  return V;
+}
+
+inline void Heap::storeI64(ObjRef Obj, uint32_t ByteOffset, int64_t Value) {
+  uint64_t Addr = Obj.addr() + plainPayloadOffset(Obj) + ByteOffset;
+  Mem.onAccess(Addr, 8, /*IsWrite=*/true);
+  std::memcpy(&Buffer[Addr], &Value, sizeof(Value));
+  if (Config.Tuning.KwWriteMonitoring) {
+    ObjectHeader *H = header(Obj.addr());
+    if (H->WriteCount != UINT32_MAX)
+      ++H->WriteCount;
+  }
+}
+
+inline double Heap::loadF64(ObjRef Obj, uint32_t ByteOffset) {
+  uint64_t Addr = Obj.addr() + plainPayloadOffset(Obj) + ByteOffset;
+  Mem.onAccess(Addr, 8, /*IsWrite=*/false);
+  double V;
+  std::memcpy(&V, &Buffer[Addr], sizeof(V));
+  return V;
+}
+
+inline void Heap::storeF64(ObjRef Obj, uint32_t ByteOffset, double Value) {
+  uint64_t Addr = Obj.addr() + plainPayloadOffset(Obj) + ByteOffset;
+  Mem.onAccess(Addr, 8, /*IsWrite=*/true);
+  std::memcpy(&Buffer[Addr], &Value, sizeof(Value));
+}
+
+inline int64_t Heap::loadElemI64(ObjRef Array, uint32_t Index) {
+  assert(header(Array.addr())->kind() == ObjectKind::PrimArray &&
+         header(Array.addr())->Aux == 8 && "not an 8-byte prim array");
+  assert(Index < header(Array.addr())->Length && "index out of range");
+  uint64_t Addr = Array.addr() + sizeof(ObjectHeader) + Index * 8ull;
+  Mem.onAccess(Addr, 8, /*IsWrite=*/false);
+  int64_t V;
+  std::memcpy(&V, &Buffer[Addr], sizeof(V));
+  return V;
+}
+
+inline void Heap::storeElemI64(ObjRef Array, uint32_t Index, int64_t Value) {
+  assert(Index < header(Array.addr())->Length && "index out of range");
+  uint64_t Addr = Array.addr() + sizeof(ObjectHeader) + Index * 8ull;
+  Mem.onAccess(Addr, 8, /*IsWrite=*/true);
+  std::memcpy(&Buffer[Addr], &Value, sizeof(Value));
+}
+
+inline double Heap::loadElemF64(ObjRef Array, uint32_t Index) {
+  int64_t Bits = loadElemI64(Array, Index);
+  double V;
+  std::memcpy(&V, &Bits, sizeof(V));
+  return V;
+}
+
+inline void Heap::storeElemF64(ObjRef Array, uint32_t Index, double Value) {
+  int64_t Bits;
+  std::memcpy(&Bits, &Value, sizeof(Bits));
+  storeElemI64(Array, Index, Bits);
+}
+
 inline GcRoot::GcRoot(Heap &H, ObjRef Initial) : H(H) {
   Index = H.RootStack.size();
   H.RootStack.push_back(Initial);

@@ -7,9 +7,9 @@
 #include "mapreduce/MapReduce.h"
 
 #include "core/PantheraApi.h"
+#include "rdd/KeyIndex.h"
 #include "rdd/PartitionBuilder.h"
 
-#include <map>
 #include <memory>
 
 using namespace panthera;
@@ -117,26 +117,30 @@ OutputTable panthera::mapreduce::runJob(
   // the §4.3 pre-tenuring API.
   std::vector<size_t> Roots;
   for (uint32_t P = 0; P != R; ++P) {
-    std::map<int64_t, double> Agg;
+    KeyIndex<int64_t> Keys;
+    std::vector<double> Agg;
     for (const KeyValue &KV : ShuffleFiles[P]) {
       Mem.addCpuWorkNs(Config.RecordCpuNs);
-      auto [It, New] = Agg.emplace(KV.Key, KV.Value);
-      if (!New)
-        It->second = Reduce(It->second, KV.Value);
+      bool New;
+      uint32_t Slot = Keys.insert(KV.Key, New);
+      if (New)
+        Agg.push_back(KV.Value);
+      else
+        Agg[Slot] = Reduce(Agg[Slot], KV.Value);
     }
     core::pretenureNextArray(H, Config.OutputTag,
                              Config.OutputStructureId);
-    ObjRef ArrRaw = H.allocRefArray(static_cast<uint32_t>(Agg.size()));
+    ObjRef ArrRaw = H.allocRefArray(static_cast<uint32_t>(Keys.size()));
     H.setPendingArrayTag(MemTag::None, 0);
     if (Config.OutputStructureId != 0)
       H.header(ArrRaw.addr())->RddId = Config.OutputStructureId;
     GcRoot Arr(H, ArrRaw);
     uint32_t Index = 0;
-    for (const auto &[Key, Value] : Agg) {
+    for (const auto &[Key, Slot] : Keys.sorted()) {
       Mem.addCpuWorkNs(Config.RecordCpuNs);
       ObjRef T = H.allocPlain(/*NumRefs=*/1, /*PayloadBytes=*/16);
       H.storeI64(T, 0, Key);
-      H.storeF64(T, 8, Value);
+      H.storeF64(T, 8, Agg[Slot]);
       H.storeRef(Arr.get(), Index++, T);
     }
     Roots.push_back(H.addPersistentRoot(Arr.get()));

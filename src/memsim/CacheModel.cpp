@@ -8,25 +8,9 @@
 
 #include "support/Errors.h"
 
-#include <algorithm>
 #include <bit>
 
 using namespace panthera::memsim;
-
-namespace {
-
-constexpr uint64_t ByteOnes = 0x0101010101010101ull;
-constexpr uint64_t ByteLow7 = 0x7F7F7F7F7F7F7F7Full;
-
-/// Bit i is set iff byte i of \p X is zero. The SWAR test leaves 0x80 in
-/// exactly the zero bytes (no carry crosses a byte, so it is exact), and
-/// the multiply moves bit 8i+7 to bit 56+i without colliding terms.
-uint64_t zeroBytes(uint64_t X) {
-  const uint64_t High = ~(((X & ByteLow7) + ByteLow7) | X | ByteLow7);
-  return (High * 0x0002040810204081ull) >> 56;
-}
-
-} // namespace
 
 CacheModel::CacheModel(const CacheConfig &Config)
     : Associativity(Config.Associativity) {
@@ -58,83 +42,27 @@ CacheModel::CacheModel(const CacheConfig &Config)
   SortClock.assign(NumSets, 0);
 }
 
-inline uint32_t CacheModel::victimWay(size_t Set) {
-  // Untouched ways keep their stamps and their sorted order; a way touched
-  // or refilled since the sort is newer than all of them. Popped ways were
-  // refilled or skipped as touched, so the first untouched candidate is
-  // the strict-less LastUse argmin (lowest way on the stamp-0 ties).
-  const size_t Base = Set * Associativity;
-  const uint8_t *Order = &Cand[Base];
-  uint8_t &Pos = CandPos[Set];
-  while (Pos != Associativity) {
-    const uint8_t Way = Order[Pos++];
-    if (LastUse[Base + Way] <= SortClock[Set])
-      return Way;
-  }
-  resort(Set);
-  Pos = 1;
-  return Order[0];
-}
-
-CacheResult CacheModel::lookup(uint64_t LineAddr, bool IsWrite,
-                               uint32_t Repeat) {
-  const size_t Set = static_cast<size_t>(LineAddr & SetMask);
-  const size_t Base = Set * Associativity;
-  const uint8_t Fingerprint = fingerprintOf(LineAddr);
-  const uint64_t *Words = &Fp[Set * FpWords];
-  const uint64_t Pattern = Fingerprint * ByteOnes;
-  CacheResult Result;
-  // Up to 64 ways per mask; the word loop has a fixed trip count, so it
-  // costs no mispredicted branch.
-  for (uint32_t Group = 0; Group < FpWords; Group += 8) {
-    const uint32_t End = std::min(FpWords, Group + 8);
-    uint64_t Match = 0;
-    for (uint32_t W = Group; W != End; ++W)
-      Match |= zeroBytes(Words[W] ^ Pattern) << (8 * (W - Group));
-    for (; Match != 0; Match &= Match - 1) {
-      const uint32_t Way = 8 * Group + std::countr_zero(Match);
-      if (Tags[Base + Way] == LineAddr) {
-        Hint[hintSlotOf(LineAddr)] = static_cast<uint8_t>(Way);
-        touch(Base + Way, IsWrite, Repeat);
-        Result.Hit = true;
-        return Result;
-      }
-    }
-  }
-
-  ++Misses;
-  const uint32_t Way = victimWay(Set);
-  const size_t Victim = Base + Way;
-  // An empty way is never dirty.
-  if (Dirty[Victim]) {
-    Result.Writeback = true;
-    Result.VictimLineAddr = Tags[Victim] * CacheLineBytes;
-  }
-  Tags[Victim] = LineAddr;
-  uint64_t &Word = Fp[Set * FpWords + Way / 8];
-  const unsigned Shift = 8 * (Way % 8);
-  Word = (Word & ~(uint64_t(0xFF) << Shift)) |
-         static_cast<uint64_t>(Fingerprint) << Shift;
-  Hint[hintSlotOf(LineAddr)] = static_cast<uint8_t>(Way);
-  UseClock += 1 + static_cast<uint64_t>(Repeat);
-  LastUse[Victim] = UseClock;
-  Dirty[Victim] = IsWrite;
-  return Result;
-}
-
 void CacheModel::resort(size_t Set) {
   // Stable insertion sort from the previous order: a streaming set, whose
   // candidates were refilled in order, comes back already sorted. Nonzero
   // stamps are distinct, and stability keeps the stamp-0 (empty) ways in
-  // their initial way order.
+  // their initial way order. The stamps are gathered into a local array
+  // first, so the shifting loop compares values it already holds instead
+  // of chasing each candidate's way to its stamp.
   const size_t Base = Set * Associativity;
   uint8_t *Order = &Cand[Base];
-  const uint64_t *Use = &LastUse[Base];
+  uint64_t Use[255];
+  for (uint32_t I = 0; I != Associativity; ++I)
+    Use[I] = LastUse[Base + Order[I]];
   for (uint32_t I = 1; I != Associativity; ++I) {
+    const uint64_t Stamp = Use[I];
     const uint8_t Way = Order[I];
     uint32_t J = I;
-    for (; J != 0 && Use[Order[J - 1]] > Use[Way]; --J)
+    for (; J != 0 && Use[J - 1] > Stamp; --J) {
+      Use[J] = Use[J - 1];
       Order[J] = Order[J - 1];
+    }
+    Use[J] = Stamp;
     Order[J] = Way;
   }
   SortClock[Set] = UseClock;

@@ -37,6 +37,7 @@
 
 #include "memsim/MemoryTechnology.h"
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -81,20 +82,40 @@ public:
     return accessLine(Addr / CacheLineBytes, IsWrite, Repeat);
   }
 
-  /// access() addressed by line number (Addr / CacheLineBytes). A hit on
-  /// the hinted way is inline -- one tag compare plus the LRU/dirty
-  /// stores -- and everything else leaves the caller.
-  CacheResult accessLine(uint64_t LineAddr, bool IsWrite,
-                         uint32_t Repeat = 0) {
+  /// access() addressed by line number (Addr / CacheLineBytes): a hit on
+  /// the hinted way -- one tag compare plus the LRU/dirty stores -- and
+  /// otherwise lookup(). Always inlined, like lookup, so a caller's loop
+  /// (HybridMemory::fastRange) keeps its hits free of calls.
+  [[gnu::always_inline]] CacheResult accessLine(uint64_t LineAddr,
+                                                bool IsWrite,
+                                                uint32_t Repeat = 0) {
+    if (accessHinted(LineAddr, IsWrite, Repeat)) {
+      CacheResult Result;
+      Result.Hit = true;
+      return Result;
+    }
+    return lookup(LineAddr, IsWrite, Repeat);
+  }
+
+  /// The inline half of accessLine: true, with the hit's bookkeeping done,
+  /// when the hinted way holds \p LineAddr; false (and no state changed)
+  /// otherwise, when the caller must finish the access with lookup().
+  bool accessHinted(uint64_t LineAddr, bool IsWrite, uint32_t Repeat) {
     assert(LineAddr != NoLine && "line address collides with the sentinel");
     const size_t Way = setBase(LineAddr) + Hint[hintSlotOf(LineAddr)];
     if (Tags[Way] != LineAddr)
-      return lookup(LineAddr, IsWrite, Repeat);
+      return false;
     touch(Way, IsWrite, Repeat);
-    CacheResult Result;
-    Result.Hit = true;
-    return Result;
+    return true;
   }
+
+  /// The rest of an access whose hinted way does not hold \p LineAddr:
+  /// finds it through the set's fingerprints (a hit, whose hint is
+  /// refreshed) or fills it (a miss). Always inlined, so that
+  /// HybridMemory's one out-of-line miss handler is the only call a miss
+  /// makes.
+  [[gnu::always_inline]] inline CacheResult
+  lookup(uint64_t LineAddr, bool IsWrite, uint32_t Repeat);
 
   /// Every access, repeats included, advances UseClock by one tick, and
   /// each tick is a hit unless it is a miss's first touch.
@@ -116,6 +137,7 @@ private:
   /// Tag of an empty way. No line address reaches it: lines are byte
   /// addresses divided by CacheLineBytes.
   static constexpr uint64_t NoLine = ~0ull;
+  static constexpr uint32_t NoWay = ~0u;
 
   /// Index of way 0 of \p Line's set in the way arrays.
   size_t setBase(uint64_t Line) const {
@@ -130,14 +152,32 @@ private:
       Dirty[Way] = 1;
   }
 
-  /// The hinted way does not hold \p LineAddr: finds it through the set's
-  /// fingerprints (a hit, whose hint is refreshed) or fills it (a miss).
-  CacheResult lookup(uint64_t LineAddr, bool IsWrite, uint32_t Repeat);
+  /// Bit 8i + 7 is set iff byte i of \p X is zero: the SWAR test leaves
+  /// 0x80 in exactly the zero bytes (no carry crosses a byte, so it is
+  /// exact).
+  static uint64_t zeroBytes(uint64_t X) {
+    constexpr uint64_t Low7 = 0x7F7F7F7F7F7F7F7Full;
+    return ~(((X & Low7) + Low7) | X | Low7);
+  }
+
+  /// The way among \p Word's fingerprint matches (the zeroBytes mask of
+  /// the word xor the fingerprint pattern; word \p WordIdx of \p Base's
+  /// set) whose tag is \p LineAddr, or NoWay.
+  uint32_t matchWay(uint64_t Match, size_t Base, uint32_t WordIdx,
+                    uint64_t LineAddr) const {
+    for (; Match != 0; Match &= Match - 1) {
+      const uint32_t Way =
+          8 * WordIdx + (static_cast<uint32_t>(std::countr_zero(Match)) >> 3);
+      if (Tags[Base + Way] == LineAddr)
+        return Way;
+    }
+    return NoWay;
+  }
 
   /// Way (within its set) of the set's least-recently-used line: the
   /// first candidate not touched since the last sort, re-sorting when
   /// every candidate has been.
-  uint32_t victimWay(size_t Set);
+  inline uint32_t victimWay(size_t Set);
 
   /// Re-sorts \p Set's candidates by (LastUse, way), starting from their
   /// previous order.
@@ -167,6 +207,79 @@ private:
   std::vector<uint8_t> CandPos;
   std::vector<uint64_t> SortClock;
 };
+
+inline uint32_t CacheModel::victimWay(size_t Set) {
+  // Untouched ways keep their stamps and their sorted order; a way touched
+  // or refilled since the sort is newer than all of them. Popped ways were
+  // refilled or skipped as touched, so the first untouched candidate is
+  // the strict-less LastUse argmin (lowest way on the stamp-0 ties).
+  const size_t Base = Set * Associativity;
+  const uint8_t *Order = &Cand[Base];
+  uint8_t &Pos = CandPos[Set];
+  while (Pos != Associativity) {
+    const uint8_t Way = Order[Pos++];
+    if (LastUse[Base + Way] <= SortClock[Set])
+      return Way;
+  }
+  resort(Set);
+  Pos = 1;
+  return Order[0];
+}
+
+inline CacheResult CacheModel::lookup(uint64_t LineAddr, bool IsWrite,
+                                      uint32_t Repeat) {
+  const size_t Set = static_cast<size_t>(LineAddr & SetMask);
+  const size_t Base = Set * Associativity;
+  const uint8_t Fingerprint = fingerprintOf(LineAddr);
+  const size_t HintSlot = hintSlotOf(LineAddr);
+  const uint64_t *Words = &Fp[Set * FpWords];
+  const uint64_t Pattern = Fingerprint * 0x0101010101010101ull;
+  // Almost every lookup is a miss whose fingerprint matches no way. Up to
+  // three words (24 ways, the default 20 included) are tested at once with
+  // no loop; the word-count branches always go the same way.
+  uint32_t Way = NoWay;
+  if (FpWords <= 3) {
+    const uint64_t M0 = zeroBytes(Words[0] ^ Pattern);
+    const uint64_t M1 = FpWords > 1 ? zeroBytes(Words[1] ^ Pattern) : 0;
+    const uint64_t M2 = FpWords > 2 ? zeroBytes(Words[2] ^ Pattern) : 0;
+    if ((M0 | M1 | M2) != 0) {
+      Way = matchWay(M0, Base, 0, LineAddr);
+      if (Way == NoWay)
+        Way = matchWay(M1, Base, 1, LineAddr);
+      if (Way == NoWay)
+        Way = matchWay(M2, Base, 2, LineAddr);
+    }
+  } else {
+    for (uint32_t W = 0; W != FpWords && Way == NoWay; ++W)
+      Way = matchWay(zeroBytes(Words[W] ^ Pattern), Base, W, LineAddr);
+  }
+  CacheResult Result;
+  if (Way != NoWay) {
+    Hint[HintSlot] = static_cast<uint8_t>(Way);
+    touch(Base + Way, IsWrite, Repeat);
+    Result.Hit = true;
+    return Result;
+  }
+
+  ++Misses;
+  Way = victimWay(Set);
+  const size_t Victim = Base + Way;
+  // An empty way is never dirty.
+  if (Dirty[Victim]) {
+    Result.Writeback = true;
+    Result.VictimLineAddr = Tags[Victim] * CacheLineBytes;
+  }
+  Tags[Victim] = LineAddr;
+  uint64_t &Word = Fp[Set * FpWords + Way / 8];
+  const unsigned Shift = 8 * (Way % 8);
+  Word = (Word & ~(uint64_t(0xFF) << Shift)) |
+         static_cast<uint64_t>(Fingerprint) << Shift;
+  Hint[HintSlot] = static_cast<uint8_t>(Way);
+  UseClock += 1 + static_cast<uint64_t>(Repeat);
+  LastUse[Victim] = UseClock;
+  Dirty[Victim] = IsWrite;
+  return Result;
+}
 
 } // namespace memsim
 } // namespace panthera

@@ -14,7 +14,7 @@ using namespace panthera::memsim;
 
 HotnessTracker::HotnessTracker(uint64_t Lo, uint64_t Hi,
                                const HotnessConfig &Config)
-    : Config(Config) {
+    : Config(Config), NextSample(Config.SampleEveryLines) {
   constexpr uint64_t P = AddressMap::PageBytes;
   this->Lo = Lo / P * P;
   this->Hi = (Hi + P - 1) / P * P;

@@ -108,11 +108,10 @@ public:
     LineCursor += NLines;
     // Sample at every stride crossing of the global line counter, at the
     // exact line that crossed it (deterministic: pure function of the
-    // accounted stream).
-    uint64_t Stride = Config.SampleEveryLines;
-    for (uint64_t Next = (Before / Stride + 1) * Stride;
-         Next <= Before + NLines; Next += Stride)
-      record((FirstLine + (Next - 1 - Before)) * CacheLineBytes);
+    // accounted stream). NextSample is the first multiple of the stride
+    // past the cursor, so no access divides.
+    for (; NextSample <= LineCursor; NextSample += Config.SampleEveryLines)
+      record((FirstLine + (NextSample - 1 - Before)) * CacheLineBytes);
   }
 
   const std::vector<HotRegion> &regions() const { return Regions; }
@@ -134,6 +133,8 @@ private:
   uint64_t Lo = 0;
   uint64_t Hi = 0;
   uint64_t LineCursor = 0;
+  /// The least multiple of SampleEveryLines above LineCursor.
+  uint64_t NextSample = 0;
   uint64_t EpochFill = 0;
   std::vector<HotRegion> Regions;
   HotnessStats Stats;

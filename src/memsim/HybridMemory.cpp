@@ -9,6 +9,7 @@
 #include "memsim/HotnessTracker.h"
 #include "support/Errors.h"
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 
@@ -18,8 +19,8 @@ HybridMemory::HybridMemory(uint64_t TotalBytes, const MemoryTechnology &Tech,
                            const CacheConfig &CacheCfg, double EpochNs,
                            support::MetricsRegistry *Reg)
     : Map(TotalBytes), Tech(Tech), Cache(CacheCfg), CacheCfg(CacheCfg),
-      EpochNs(EpochNs), Prefetch(Tech.PrefetchStreams) {
-  // recordTraffic divides by EpochNs and casts the quotient to size_t; a
+      EpochNs(EpochNs), Epochs(EpochNs), Prefetch(Tech.PrefetchStreams) {
+  // The epoch index divides by EpochNs and casts the quotient to size_t; a
   // zero, negative, or non-finite epoch turns that cast into undefined
   // behavior, so reject it at the source.
   PANTHERA_CHECK(std::isfinite(EpochNs) && EpochNs > 0.0,
@@ -34,9 +35,41 @@ HybridMemory::HybridMemory(uint64_t TotalBytes, const MemoryTechnology &Tech,
   Bw[1] = &Registry->series("memsim.bandwidth.dram_write_bytes");
   Bw[2] = &Registry->series("memsim.bandwidth.nvm_read_bytes");
   Bw[3] = &Registry->series("memsim.bandwidth.nvm_write_bytes");
-  for (unsigned A = 0; A != NumActors; ++A)
+  for (unsigned A = 0; A != NumActors; ++A) {
     HitNs[A] = Tech.CacheHitNs / Tech.mlp(static_cast<Actor>(A));
+    for (unsigned D = 0; D != NumDevices; ++D)
+      for (unsigned W = 0; W != 2; ++W)
+        MissNs[A][D][W] = Tech.missCostNs(static_cast<Device>(D),
+                                          static_cast<Actor>(A), W != 0);
+  }
+  for (unsigned D = 0; D != NumDevices; ++D)
+    StreamNs[D] = Tech.missCostNs(static_cast<Device>(D), Actor::Mutator,
+                                  /*IsWrite=*/false, /*Prefetched=*/true);
   updateSlowPath();
+}
+
+double EpochIndex::firstTimeOf(size_t K) const {
+  // static_cast<size_t>(Q) >= K exactly when Q >= K, and the rounded
+  // product lands within an ulp or two of the boundary.
+  const double Kd = static_cast<double>(K);
+  double T = Kd * EpochNs;
+  if (std::isinf(T))
+    return T;
+  while (T > 0.0 && std::nextafter(T, 0.0) / EpochNs >= Kd)
+    T = std::nextafter(T, 0.0);
+  while (T / EpochNs < Kd)
+    T = std::nextafter(T, HUGE_VAL);
+  return T;
+}
+
+size_t EpochIndex::refresh(double T) {
+  const size_t K = static_cast<size_t>(T / EpochNs);
+  if (K < support::TimeSeries::MaxBuckets) {
+    Lo = firstTimeOf(K);
+    Hi = firstTimeOf(K + 1);
+    Epoch = K;
+  }
+  return K;
 }
 
 void HybridMemory::setAccessPath(AccessPathMode M) {
@@ -66,20 +99,6 @@ std::vector<EpochSample> HybridMemory::bandwidthTrace() const {
   return Trace;
 }
 
-void HybridMemory::recordTraffic(uint64_t LineAddr, bool IsWrite) {
-  Device D = Map.deviceOf(LineAddr);
-  TrafficCounters &C = Traffic[static_cast<unsigned>(D)];
-  if (IsWrite)
-    ++C.LineWrites;
-  else
-    ++C.LineReads;
-
-  // Bucket into the bandwidth series by current simulated time.
-  size_t Epoch = static_cast<size_t>(totalTimeNs() / EpochNs);
-  size_t Idx = (D == Device::DRAM ? 0 : 2) + (IsWrite ? 1 : 0);
-  Bw[Idx]->addAt(Epoch, static_cast<double>(CacheLineBytes));
-}
-
 void HybridMemory::accessOutOfLine(uint64_t Addr, uint64_t Bytes,
                                    bool IsWrite, uint64_t ElemBytes) {
   assert((ElemBytes == 0 || Bytes % ElemBytes == 0) &&
@@ -98,38 +117,48 @@ void HybridMemory::accessOutOfLine(uint64_t Addr, uint64_t Bytes,
     return;
   }
   const uint64_t Line = Addr / CacheLineBytes;
-  if (Line != (Addr + Bytes - 1) / CacheLineBytes) {
+  const uint64_t LastLine = (Addr + Bytes - 1) / CacheLineBytes;
+  // A single access over a few lines (mostly an object's zero-init that
+  // straddles a line) touches each line once: fastRange would count
+  // Touches = 1 on every line, so one touchLine per line is the same op
+  // sequence without fastRange's set-up.
+  if (ElemBytes == 0 && LastLine - Line < MaxShortLines) {
+    for (uint64_t L = Line; L <= LastLine; ++L)
+      touchLine(L, IsWrite, /*Touches=*/1);
+    return;
+  }
+  if (Line != LastLine) {
     fastRange(Addr, Bytes, IsWrite, ElemBytes);
     return;
   }
-  touchLine(Line, IsWrite,
-            ElemBytes ? static_cast<uint32_t>(Bytes / ElemBytes) : 1u);
+  touchLine(Line, IsWrite, static_cast<uint32_t>(Bytes / ElemBytes));
 }
 
-void HybridMemory::chargeLineMiss(uint64_t Line, CacheResult R,
-                                  uint32_t Touches) {
+void HybridMemory::missLine(uint64_t Line, bool IsWrite, uint32_t Touches) {
+  const CacheResult R = Cache.lookup(Line, IsWrite, Touches - 1);
+  const unsigned Cur = static_cast<unsigned>(Current);
+  if (R.Hit) {
+    ActorNs[Cur] += static_cast<double>(Touches) * HitNs[Cur];
+    return;
+  }
   // Mirrors one missed iteration of the reference per-line loop, including
   // the fused (Touches - 1) * HitNs fold of the line's repeat hits.
-  const uint64_t LineStart = Line * CacheLineBytes;
-  Device D = Map.deviceOf(LineStart);
-  bool Prefetched = Tech.StreamPrefetcher && Prefetch.access(Line);
-  if (Prefetched) {
+  const Device D = Map.deviceOf(Line * CacheLineBytes);
+  const unsigned DI = static_cast<unsigned>(D);
+  if (Tech.StreamPrefetcher && Prefetch.access(Line)) {
     ++PrefetchedMisses;
-    chargeOverlappableNs(
-        Tech.missCostNs(D, Current, /*IsWrite=*/false, Prefetched));
+    chargeOverlappableNs(StreamNs[DI]);
   } else {
-    chargeNs(Tech.missCostNs(D, Current, /*IsWrite=*/false, Prefetched));
+    chargeNs(MissNs[Cur][DI][0]);
   }
-  recordTraffic(LineStart, /*IsWrite=*/false);
+  recordTraffic(D, /*IsWrite=*/false);
   if (R.Writeback) {
-    Device VictimDev = victimDeviceOf(R.VictimLineAddr);
-    chargeOverlappableNs(static_cast<double>(CacheLineBytes) /
-                         Tech.bandwidthGBs(VictimDev));
-    recordTraffic(R.VictimLineAddr, /*IsWrite=*/true);
+    const Device VictimDev = victimDeviceOf(R.VictimLineAddr);
+    chargeOverlappableNs(StreamNs[static_cast<unsigned>(VictimDev)]);
+    recordTraffic(VictimDev, /*IsWrite=*/true);
   }
   if (Touches > 1)
-    chargeNs(static_cast<double>(Touches - 1) *
-             HitNs[static_cast<unsigned>(Current)]);
+    chargeNs(static_cast<double>(Touches - 1) * HitNs[Cur]);
 }
 
 void HybridMemory::perLineRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
@@ -189,12 +218,12 @@ void HybridMemory::perLineRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
     } else {
       chargeNs(Tech.missCostNs(D, Current, /*IsWrite=*/false, Prefetched));
     }
-    recordTraffic(LineStart, /*IsWrite=*/false);
+    recordTraffic(D, /*IsWrite=*/false, referenceEpoch());
     if (R.Writeback) {
       Device VictimDev = Map.deviceOf(R.VictimLineAddr);
       chargeOverlappableNs(static_cast<double>(CacheLineBytes) /
                            Tech.bandwidthGBs(VictimDev));
-      recordTraffic(R.VictimLineAddr, /*IsWrite=*/true);
+      recordTraffic(VictimDev, /*IsWrite=*/true, referenceEpoch());
     }
     if (Touches > 1)
       chargeNs(static_cast<double>(Touches - 1) * HitNs);
@@ -210,7 +239,7 @@ void HybridMemory::naiveAccess(uint64_t Addr, uint64_t Bytes, bool IsWrite) {
     uint64_t LineAddr = Line * CacheLineBytes;
     Device D = Map.deviceOf(LineAddr);
     chargeNs(IsWrite ? Tech.writeLatencyNs(D) : Tech.readLatencyNs(D));
-    recordTraffic(LineAddr, IsWrite);
+    recordTraffic(D, IsWrite, referenceEpoch());
   }
 }
 
@@ -227,8 +256,8 @@ void HybridMemory::fastRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
   //      multiply-then-add the reference loop performs.
   //   2. The device map is page-granular and cannot change mid-call, so
   //      one deviceOf per page run equals one per missed line.
-  //   3. Miss/hit/writeback costs are pure functions of constants, so
-  //      they can be computed once per call.
+  //   3. Miss/hit/writeback costs are pure functions of constants, read
+  //      from the tables the constructor built.
   //
   // The clock, slack, and epoch arithmetic below mirrors chargeNs /
   // chargeOverlappableNs / recordTraffic operation-for-operation on local
@@ -237,50 +266,33 @@ void HybridMemory::fastRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
   double Clock = ActorNs[Cur];
   const double OtherClock = ActorNs[1 - Cur];
   double Slack = CpuSlackNs[Cur];
-
   const double HitNs = this->HitNs[Cur];
-  const double DemandNs[NumDevices] = {
-      Tech.missCostNs(Device::DRAM, Current, false, false),
-      Tech.missCostNs(Device::NVM, Current, false, false)};
-  const double PrefetchNs[NumDevices] = {
-      Tech.missCostNs(Device::DRAM, Current, false, true),
-      Tech.missCostNs(Device::NVM, Current, false, true)};
-  const double WritebackNs[NumDevices] = {
-      static_cast<double>(CacheLineBytes) /
-          Tech.bandwidthGBs(Device::DRAM),
-      static_cast<double>(CacheLineBytes) / Tech.bandwidthGBs(Device::NVM)};
 
   // totalTimeNs() is ActorNs[0] + ActorNs[1] in that order; reproduce the
   // operand order exactly so the epoch index rounds identically.
   const auto RecordTraffic = [&](Device D, bool W) {
-    TrafficCounters &C = Traffic[static_cast<unsigned>(D)];
-    if (W)
-      ++C.LineWrites;
-    else
-      ++C.LineReads;
     double Total = Cur == 0 ? Clock + OtherClock : OtherClock + Clock;
-    size_t Epoch = static_cast<size_t>(Total / EpochNs);
-    size_t Idx = (D == Device::DRAM ? 0 : 2) + (W ? 1 : 0);
-    Bw[Idx]->addAt(Epoch, static_cast<double>(CacheLineBytes));
+    recordTraffic(D, W, Epochs.index(Total));
   };
 
   const uint64_t E = ElemBytes ? ElemBytes : Bytes;
-  const uint64_t NumElems = Bytes / E;
+  const uint64_t End = Addr + Bytes;
   const uint64_t FirstLine = Addr / CacheLineBytes;
-  const uint64_t LastLine = (Addr + Bytes - 1) / CacheLineBytes;
+  const uint64_t LastLine = (End - 1) / CacheLineBytes;
   constexpr uint64_t LinesPerPage = AddressMap::PageBytes / CacheLineBytes;
   // When whole elements tile a line exactly (the aligned sub-line scan
   // every bulk caller issues), the touch count is a constant and the
-  // cursor advances arithmetically -- no per-element loop.
+  // cursor advances arithmetically -- no per-element loop. The divisors
+  // of the line size are its powers of two.
   const uint32_t TilePerLine =
-      (E <= CacheLineBytes && CacheLineBytes % E == 0)
-          ? static_cast<uint32_t>(CacheLineBytes / E)
+      (E <= CacheLineBytes && (E & (E - 1)) == 0)
+          ? CacheLineBytes >> std::countr_zero(E)
           : 0;
 
-  // Element cursor: ElemIdx/ElemStart walk forward monotonically; CurEnd
-  // is the end of the last element seen, which detects elements straddling
-  // into the current line from the previous one.
-  uint64_t ElemIdx = 0;
+  // Element cursor: ElemStart walks forward monotonically to End (Bytes is
+  // a whole number of elements); CurEnd is the end of the last element
+  // seen, which detects elements straddling into the current line from the
+  // previous one.
   uint64_t ElemStart = Addr;
   uint64_t CurEnd = 0;
 
@@ -299,16 +311,14 @@ void HybridMemory::fastRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
       // sorted and contiguous.
       uint32_t Touches;
       if (TilePerLine != 0 && ElemStart == LineStart &&
-          NumElems - ElemIdx >= TilePerLine) {
+          End - ElemStart >= CacheLineBytes) {
         Touches = TilePerLine;
-        ElemIdx += TilePerLine;
         ElemStart = LineEnd;
         CurEnd = LineEnd;
       } else {
         Touches = CurEnd > LineStart ? 1u : 0u;
-        while (ElemIdx != NumElems && ElemStart < LineEnd) {
+        while (ElemStart != End && ElemStart < LineEnd) {
           ++Touches;
-          ++ElemIdx;
           ElemStart += E;
           CurEnd = ElemStart;
         }
@@ -321,17 +331,17 @@ void HybridMemory::fastRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
       bool Prefetched = Tech.StreamPrefetcher && Prefetch.access(Line);
       if (Prefetched) {
         ++PrefetchedMisses;
-        double Ns = PrefetchNs[DI];
+        double Ns = StreamNs[DI];
         double Hidden = Ns < Slack ? Ns : Slack;
         Slack -= Hidden;
         Clock += Ns - Hidden;
       } else {
-        Clock += DemandNs[DI];
+        Clock += MissNs[Cur][DI][0];
       }
       RecordTraffic(D, false);
       if (R.Writeback) {
         Device VictimDev = victimDeviceOf(R.VictimLineAddr);
-        double Ns = WritebackNs[static_cast<unsigned>(VictimDev)];
+        double Ns = StreamNs[static_cast<unsigned>(VictimDev)];
         double Hidden = Ns < Slack ? Ns : Slack;
         Slack -= Hidden;
         Clock += Ns - Hidden;
@@ -364,7 +374,8 @@ void HybridMemory::chargeBulkLines(uint64_t DramReads, uint64_t DramWrites,
     if (B.Count == 0)
       continue;
     chargeNs(static_cast<double>(B.Count) *
-             Tech.missCostNs(B.D, Current, B.IsWrite));
+             MissNs[static_cast<unsigned>(Current)]
+                   [static_cast<unsigned>(B.D)][B.IsWrite ? 1 : 0]);
     TrafficCounters &C = Traffic[static_cast<unsigned>(B.D)];
     if (B.IsWrite)
       C.LineWrites += B.Count;
@@ -373,18 +384,10 @@ void HybridMemory::chargeBulkLines(uint64_t DramReads, uint64_t DramWrites,
   }
   // Bucket the whole batch into the trace at the post-charge time (one
   // epoch sample; bulk charges are point events on the simulated clock).
-  size_t Epoch = static_cast<size_t>(totalTimeNs() / EpochNs);
+  size_t Epoch = Epochs.index(totalTimeNs());
   double LineBytes = CacheLineBytes;
   Bw[0]->addAt(Epoch, LineBytes * static_cast<double>(DramReads));
   Bw[1]->addAt(Epoch, LineBytes * static_cast<double>(DramWrites));
   Bw[2]->addAt(Epoch, LineBytes * static_cast<double>(NvmReads));
   Bw[3]->addAt(Epoch, LineBytes * static_cast<double>(NvmWrites));
-}
-
-void HybridMemory::addCpuWorkNs(double Ns) {
-  chargeNs(Ns);
-  double &Slack = CpuSlackNs[static_cast<unsigned>(Current)];
-  Slack += Ns;
-  if (Slack > Tech.CpuOverlapWindowNs)
-    Slack = Tech.CpuOverlapWindowNs;
 }

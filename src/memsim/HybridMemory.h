@@ -90,6 +90,36 @@ struct TrafficShard {
   }
 };
 
+/// Maps a simulated time to its bandwidth-trace epoch,
+/// static_cast<size_t>(T / EpochNs), dividing only when \p T leaves the
+/// exact [Lo, Hi) range of the epoch it last computed. The quotient is
+/// monotone in T, so the times one epoch index covers form an interval,
+/// and its ends are found once per epoch by stepping from K * EpochNs to
+/// the least double whose quotient reaches K.
+class EpochIndex {
+public:
+  explicit EpochIndex(double EpochNs) : EpochNs(EpochNs) {}
+
+  size_t index(double T) {
+    if (T >= Lo && T < Hi)
+      return Epoch;
+    return refresh(T);
+  }
+
+private:
+  /// Divides, and caches the new epoch's range unless its index is past
+  /// TimeSeries::MaxBuckets (the caller's addAt then throws).
+  size_t refresh(double T);
+  /// The least double whose quotient by EpochNs is at least \p K.
+  double firstTimeOf(size_t K) const;
+
+  double EpochNs;
+  /// The cached epoch and its times; empty until the first index().
+  double Lo = 1.0;
+  double Hi = 0.0;
+  size_t Epoch = 0;
+};
+
 /// Accounting core: owns the address map, the LLC model, the simulated
 /// clocks, traffic counters, and the bandwidth trace. It does NOT own the
 /// data bytes themselves; the managed heap holds those and reports every
@@ -161,7 +191,13 @@ public:
 
   /// Charges \p Ns of pure CPU work (no memory traffic) to the current
   /// actor's clock. The Spark engine uses this for per-record compute.
-  void addCpuWorkNs(double Ns);
+  void addCpuWorkNs(double Ns) {
+    chargeNs(Ns);
+    double &Slack = CpuSlackNs[static_cast<unsigned>(Current)];
+    Slack += Ns;
+    if (Slack > Tech.CpuOverlapWindowNs)
+      Slack = Tech.CpuOverlapWindowNs;
+  }
 
   /// Bulk accounting used by the collector's scavenge and mark: charges
   /// whole cache-line counts per device and direction at the current
@@ -230,7 +266,30 @@ private:
     Slack -= Hidden;
     chargeNs(Ns - Hidden);
   }
-  void recordTraffic(uint64_t LineAddr, bool IsWrite);
+  /// Counts one line of traffic on \p D and adds it to the bandwidth
+  /// series at epoch \p Epoch.
+  void recordTraffic(Device D, bool IsWrite, size_t Epoch) {
+    TrafficCounters &C = Traffic[static_cast<unsigned>(D)];
+    if (IsWrite)
+      ++C.LineWrites;
+    else
+      ++C.LineReads;
+    Bw[2 * static_cast<unsigned>(D) + (IsWrite ? 1 : 0)]->addAt(
+        Epoch, static_cast<double>(CacheLineBytes));
+  }
+  /// recordTraffic at the current simulated time's epoch.
+  void recordTraffic(Device D, bool IsWrite) {
+    recordTraffic(D, IsWrite, Epochs.index(totalTimeNs()));
+  }
+  /// The current epoch by the division itself, which the reference paths
+  /// (PerLine, NaiveInjection) use, so the twin-replay tests check
+  /// EpochIndex against it.
+  size_t referenceEpoch() const {
+    return static_cast<size_t>(totalTimeNs() / EpochNs);
+  }
+  /// The longest single access (in lines) that accessOutOfLine issues as
+  /// one touchLine per line rather than through fastRange.
+  static constexpr uint64_t MaxShortLines = 4;
   /// SlowPath is true when an access needs more than the batched cost
   /// model: a hotness tracker to feed, the PerLine reference, or the
   /// cache-blind NaiveInjection mode.
@@ -246,19 +305,20 @@ private:
   /// A batched access confined to cache line \p Line with \p Touches
   /// element touches: the first probe decides hit or miss, and the
   /// repeats are its guaranteed hits, charged as one fused
-  /// Touches * HitNs fold (see onAccessRange).
+  /// Touches * HitNs fold (see onAccessRange). A hit on the hinted way
+  /// stays inline; everything else is one call to missLine.
   void touchLine(uint64_t Line, bool IsWrite, uint32_t Touches) {
-    CacheResult R = Cache.accessLine(Line, IsWrite, Touches - 1);
-    if (!R.Hit) {
-      chargeLineMiss(Line, R, Touches);
+    if (!Cache.accessHinted(Line, IsWrite, Touches - 1)) {
+      missLine(Line, IsWrite, Touches);
       return;
     }
     const unsigned Cur = static_cast<unsigned>(Current);
     ActorNs[Cur] += static_cast<double>(Touches) * HitNs[Cur];
   }
-  /// Charges the miss of touchLine: the reference per-line loop's miss
-  /// branch for one line.
-  void chargeLineMiss(uint64_t Line, CacheResult R, uint32_t Touches);
+  /// The rest of touchLine when the hinted way missed: the cache lookup
+  /// (a hit on another way, or a fill) and, for a miss, the reference
+  /// per-line loop's miss branch for one line.
+  void missLine(uint64_t Line, bool IsWrite, uint32_t Touches);
   /// Batched implementation of a multi-line range.
   void fastRange(uint64_t Addr, uint64_t Bytes, bool IsWrite,
                  uint64_t ElemBytes);
@@ -290,8 +350,15 @@ private:
   double ActorNs[NumActors] = {0.0, 0.0};
   /// Per-actor LLC hit cost, CacheHitNs / mlp(actor).
   double HitNs[NumActors] = {0.0, 0.0};
+  /// Cost tables built in the constructor with Tech.missCostNs, so each
+  /// entry is the formula's double: MissNs[actor][device][IsWrite] is a
+  /// demand miss (IsWrite 0) or a bulk line charge, and StreamNs[device]
+  /// the bandwidth term alone -- a prefetched miss, and a writeback.
+  double MissNs[NumActors][NumDevices][2] = {};
+  double StreamNs[NumDevices] = {};
   TrafficCounters Traffic[NumDevices];
   double EpochNs;
+  EpochIndex Epochs;
   /// Registry holding the bandwidth series; OwnedRegistry backs it when
   /// the constructor was not handed one.
   std::unique_ptr<support::MetricsRegistry> OwnedRegistry;

@@ -8,6 +8,7 @@
 
 #include "cluster/Cluster.h"
 #include "offheap/OffHeapCache.h"
+#include "rdd/KeyIndex.h"
 #include "rdd/PartitionBuilder.h"
 #include "support/Errors.h"
 #include "support/FaultInjector.h"
@@ -19,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <unordered_map>
 
@@ -1389,38 +1389,53 @@ void SparkContext::materializeWide(const RddRef &R) {
     std::vector<SourceRecord> &Rows = In[I];
     switch (R->Op) {
     case OpKind::ReduceByKey: {
-      std::map<int64_t, double> Agg;
+      // Combine folds each key's values in row order, and the output is
+      // in ascending key order.
+      KeyIndex<int64_t> Keys;
+      std::vector<double> Agg;
       for (const SourceRecord &Row : Rows) {
-        auto [It, New] = Agg.emplace(Row.Key, Row.Val);
-        if (!New)
-          It->second = R->Combine(It->second, Row.Val);
+        bool New;
+        uint32_t Slot = Keys.insert(Row.Key, New);
+        if (New)
+          Agg.push_back(Row.Val);
+        else
+          Agg[Slot] = R->Combine(Agg[Slot], Row.Val);
       }
       if (Tag != MemTag::None)
         H.setPendingArrayTag(Tag, R->Id);
-      ObjRef ArrRaw = H.allocRefArray(static_cast<uint32_t>(Agg.size()));
+      ObjRef ArrRaw = H.allocRefArray(static_cast<uint32_t>(Keys.size()));
       H.setPendingArrayTag(MemTag::None, 0);
       H.header(ArrRaw.addr())->RddId = R->Id;
       GcRoot Arr(H, ArrRaw);
       uint32_t Index = 0;
-      for (const auto &[K, V] : Agg) {
-        ObjRef T = Ctx.makeTuple(K, V);
+      for (const auto &[K, Slot] : Keys.sorted()) {
+        ObjRef T = Ctx.makeTuple(K, Agg[Slot]);
         H.storeRef(Arr.get(), Index++, T);
       }
       H.storeRef(Dir.get(), I, Arr.get());
       break;
     }
     case OpKind::GroupByKey: {
-      std::map<int64_t, std::vector<double>> Groups;
-      for (const SourceRecord &Row : Rows)
-        Groups[Row.Key].push_back(Row.Val);
+      // Each group keeps its values in row order; groups are in ascending
+      // key order.
+      KeyIndex<int64_t> Keys;
+      std::vector<std::vector<double>> Groups;
+      for (const SourceRecord &Row : Rows) {
+        bool New;
+        uint32_t Slot = Keys.insert(Row.Key, New);
+        if (New)
+          Groups.emplace_back();
+        Groups[Slot].push_back(Row.Val);
+      }
       if (Tag != MemTag::None)
         H.setPendingArrayTag(Tag, R->Id);
-      ObjRef ArrRaw = H.allocRefArray(static_cast<uint32_t>(Groups.size()));
+      ObjRef ArrRaw = H.allocRefArray(static_cast<uint32_t>(Keys.size()));
       H.setPendingArrayTag(MemTag::None, 0);
       H.header(ArrRaw.addr())->RddId = R->Id;
       GcRoot Arr(H, ArrRaw);
       uint32_t Index = 0;
-      for (const auto &[K, Values] : Groups) {
+      for (const auto &[K, Slot] : Keys.sorted()) {
+        const std::vector<double> &Values = Groups[Slot];
         // CompactBuffer (Fig 1): tuple -> reference array -> boxed value
         // objects. The indirection is load-bearing: reading a cached
         // grouped RDD is a pointer chase, exactly like the paper's
@@ -1441,12 +1456,16 @@ void SparkContext::materializeWide(const RddRef &R) {
       break;
     }
     case OpKind::Distinct: {
-      std::map<std::pair<int64_t, int64_t>, bool> Seen;
+      // The first occurrence of each (key, value bit pattern), in input
+      // order: -0.0 and +0.0 differ, and so do NaN payloads.
+      KeyIndex<std::pair<int64_t, int64_t>> Seen;
       std::vector<SourceRecord> Unique;
       for (const SourceRecord &Row : Rows) {
         int64_t Bits;
         std::memcpy(&Bits, &Row.Val, sizeof(Bits));
-        if (Seen.emplace(std::make_pair(Row.Key, Bits), true).second)
+        bool New;
+        Seen.insert({Row.Key, Bits}, New);
+        if (New)
           Unique.push_back(Row);
       }
       if (Tag != MemTag::None)

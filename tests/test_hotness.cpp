@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -127,6 +128,49 @@ TEST(HotnessTracker, ResetCountersKeepsBoundariesAndClearsHeat) {
   EXPECT_EQ(T.regions().size(), NRegions);
   for (const HotRegion &R : T.regions())
     EXPECT_EQ(R.Count, 0u);
+}
+
+TEST(HotnessTracker, SampleAddressesMatchTheDivisionForm) {
+  // The tracker keeps a next-sample cursor; each sample must still land on
+  // the line the division form picks, (Before / Stride + 1) * Stride, over
+  // random ranges that straddle pages and the interval's ends. One region
+  // per page (no epoch ever ends) makes a sample moved by a line across a
+  // page boundary show in the counts.
+  constexpr uint64_t Lo = 4 * Page, Hi = 20 * Page;
+  for (uint64_t Stride : {1ull, 3ull, 64ull, 1000ull}) {
+    SCOPED_TRACE(testing::Message() << "stride " << Stride);
+    HotnessConfig C;
+    C.SampleEveryLines = Stride;
+    C.EpochSamples = 1ull << 40;
+    HotnessTracker T(Lo, Hi, C);
+    ASSERT_EQ(T.regions().size(), 16u);
+    std::vector<uint32_t> Expected(16, 0);
+    uint64_t Cursor = 0, Samples = 0, State = Stride;
+    for (int I = 0; I != 5000; ++I) {
+      State = State * 6364136223846793005ull + 1442695040888963407ull;
+      const uint64_t Addr = (State >> 20) % (24 * Page);
+      const uint64_t Bytes = 1 + (State >> 44) % (3 * Page);
+      T.onRange(Addr, Bytes);
+      // The division form of the sampling loop.
+      const uint64_t S = std::max(Addr, Lo), E = std::min(Addr + Bytes, Hi);
+      if (S >= E)
+        continue;
+      const uint64_t FirstLine = S / CacheLineBytes;
+      const uint64_t NLines = (E - 1) / CacheLineBytes - FirstLine + 1;
+      for (uint64_t Next = (Cursor / Stride + 1) * Stride;
+           Next <= Cursor + NLines; Next += Stride) {
+        const uint64_t At = (FirstLine + (Next - 1 - Cursor)) * CacheLineBytes;
+        ++Expected[(At - Lo) / Page];
+        ++Samples;
+      }
+      Cursor += NLines;
+      ASSERT_EQ(T.stats().Samples, Samples) << "range " << I;
+      for (size_t R = 0; R != 16; ++R)
+        ASSERT_EQ(T.regions()[R].Count, Expected[R])
+            << "range " << I << ", page " << R;
+    }
+    EXPECT_GT(Samples, 100u);
+  }
 }
 
 //===----------------------------------------------------------------------===//

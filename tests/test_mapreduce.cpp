@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 using namespace panthera;
 using namespace panthera::mapreduce;
 
@@ -155,6 +157,46 @@ TEST_F(MapReduceTest, DeterministicAcrossPolicies) {
   double A = Run(gc::PolicyKind::DramOnly);
   EXPECT_DOUBLE_EQ(Run(gc::PolicyKind::Panthera), A);
   EXPECT_DOUBLE_EQ(Run(gc::PolicyKind::Unmanaged), A);
+}
+
+TEST_F(MapReduceTest, ReducePhaseMatchesAnOrderedMapReference) {
+  // A non-commutative reduce over negative keys: each key folds its values
+  // in emission order and each partition lists its rows in ascending
+  // signed key order, exactly as a std::map fold would.
+  std::vector<std::vector<KeyValue>> Splits(4);
+  uint64_t State = 99;
+  for (int I = 0; I != 4000; ++I) {
+    State = State * 6364136223846793005ull + 1442695040888963407ull;
+    const int64_t Key = static_cast<int64_t>((State >> 33) % 301) - 150;
+    const double Val = static_cast<double>((State >> 13) % 512) / 4.0 - 64.0;
+    Splits[I % 4].push_back({Key, Val});
+  }
+  const auto Reduce = [](double A, double B) { return 2.0 * A + B; };
+  std::map<int64_t, double> Ref;
+  for (const std::vector<KeyValue> &Split : Splits)
+    for (const KeyValue &KV : Split) {
+      auto [It, New] = Ref.emplace(KV.Key, KV.Value);
+      if (!New)
+        It->second = Reduce(It->second, KV.Value);
+    }
+  OutputTable Table = runJob(
+      *RT, JobConfig{}, Splits,
+      [](const KeyValue &KV, const Emitter &Emit) {
+        Emit(KV.Key, KV.Value);
+      },
+      Reduce);
+  size_t Rows = 0;
+  for (uint32_t P = 0; P != Table.numPartitions(); ++P)
+    for (uint32_t I = 0; I != Table.rows(P); ++I, ++Rows) {
+      const KeyValue Row = Table.row(P, I);
+      if (I != 0) {
+        EXPECT_LT(Table.row(P, I - 1).Key, Row.Key) << "partition " << P;
+      }
+      ASSERT_TRUE(Ref.count(Row.Key)) << Row.Key;
+      EXPECT_EQ(Row.Value, Ref[Row.Key]) << Row.Key;
+    }
+  EXPECT_EQ(Rows, Ref.size());
+  Table.release();
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -680,4 +681,185 @@ TEST(HybridMemory, VictimWritebackSeesDeviceRemapImmediately) {
   EXPECT_GT(WbGap, 0.0);
   EXPECT_NEAR(EvictNvm - EvictDram, WbGap, 1e-9)
       << "stale victim-device cache: writeback billed to the old device";
+}
+
+TEST(EpochIndex, MatchesTheDivisionAroundEpochBoundaries) {
+  // The cached epoch range must give static_cast<size_t>(T / E) for every
+  // time: at k * E as rounded, at its neighbours, at the least double
+  // whose quotient reaches k, mid-epoch, and past the bucket cap (which is
+  // never cached), visited in order and in a random order.
+  for (double E : {1.0e6, 5.0e3, 1.0e3 / 3.0, 0.1, 7.3}) {
+    SCOPED_TRACE(testing::Message() << "EpochNs " << E);
+    std::vector<double> Times;
+    for (uint64_t K = 0; K != 2000; ++K) {
+      const double At = static_cast<double>(K) * E;
+      Times.insert(Times.end(), {std::nextafter(At, 0.0), At,
+                                 std::nextafter(At, HUGE_VAL), At + E / 2});
+    }
+    for (size_t K : {support::TimeSeries::MaxBuckets - 1,
+                     support::TimeSeries::MaxBuckets}) {
+      const double At = static_cast<double>(K) * E;
+      Times.insert(Times.end(), {std::nextafter(At, 0.0), At,
+                                 std::nextafter(At, HUGE_VAL)});
+    }
+    EpochIndex InOrder(E);
+    for (double T : Times)
+      ASSERT_EQ(InOrder.index(T), static_cast<size_t>(T / E)) << T;
+    EpochIndex Shuffled(E);
+    uint64_t State = 3;
+    for (size_t I = 0; I != Times.size(); ++I) {
+      const double T = Times[splitMix64(State) % Times.size()];
+      ASSERT_EQ(Shuffled.index(T), static_cast<size_t>(T / E)) << T;
+    }
+  }
+}
+
+namespace {
+
+/// The CPU work after which a miss costing \p Cost, issued at \p Clock,
+/// ends exactly at \p Target: (Clock + W) + Cost == Target in doubles.
+double workLandingAt(double Clock, double Cost, double Target) {
+  const double W0 = Target - Cost - Clock;
+  for (double Dir : {-HUGE_VAL, HUGE_VAL}) {
+    double W = W0;
+    for (int I = 0; I != 64; ++I, W = std::nextafter(W, Dir))
+      if ((Clock + W) + Cost == Target)
+        return W;
+  }
+  ADD_FAILURE() << "no CPU work lands a miss at " << Target;
+  return W0;
+}
+
+} // namespace
+
+TEST(HybridMemory, MissAtAnEpochBoundaryMatchesTheDivision) {
+  // A miss recorded exactly at k * EpochNs (as rounded), at the least time
+  // whose epoch is k, and at the double just below each must land in the
+  // division's epoch. The PerLine twin divides; the Batched simulator
+  // first records a miss mid-way through the previous epoch, so it answers
+  // from the cached range.
+  const double E = 1.0e3 / 3.0;
+  const MemoryTechnology Tech;
+  const double Cost = Tech.missCostNs(Device::DRAM, Actor::Mutator, false);
+  for (uint64_t K = 1; K != 60; ++K) {
+    const double Kd = static_cast<double>(K);
+    double First = Kd * E;
+    while (std::nextafter(First, 0.0) / E >= Kd)
+      First = std::nextafter(First, 0.0);
+    while (First / E < Kd)
+      First = std::nextafter(First, HUGE_VAL);
+    const double At = Kd * E;
+    for (double Target : {At, std::nextafter(At, 0.0), First,
+                          std::nextafter(First, 0.0)}) {
+      SCOPED_TRACE(testing::Message() << "k " << K << ", target " << Target);
+      HybridMemory A(1 << 20, Tech, CacheConfig{}, E);
+      HybridMemory B(1 << 20, Tech, CacheConfig{}, E);
+      B.setAccessPath(AccessPathMode::PerLine);
+      // Lines two apart never continue a prefetch stream: every miss pays
+      // the demand cost.
+      uint64_t Addr = 0;
+      for (double Stop : {Target - E / 2, Target}) {
+        if (Stop < Cost)
+          continue;
+        const double W = workLandingAt(A.mutatorTimeNs(), Cost, Stop);
+        for (HybridMemory *M : {&A, &B}) {
+          M->addCpuWorkNs(W);
+          M->onAccess(Addr, 8, false);
+        }
+        Addr += 2 * CacheLineBytes;
+      }
+      ASSERT_EQ(A.mutatorTimeNs(), Target);
+      expectIdenticalState(A, B);
+      const std::vector<EpochSample> Trace = A.bandwidthTrace();
+      ASSERT_EQ(Trace.size(), static_cast<size_t>(Target / E) + 1);
+      EXPECT_GT(Trace.back().DramReadBytes, 0.0);
+    }
+  }
+}
+
+TEST(HybridMemory, BucketCapFiresOnTheSameAccessAsTheDivision) {
+  // 2^24 epochs span 100 ns, so the fourth 30 ns demand miss is the first
+  // traffic past TimeSeries::MaxBuckets. It must throw on both paths, and
+  // nothing before it may; hits record no traffic and never throw.
+  const double E = 100.0 / static_cast<double>(support::TimeSeries::MaxBuckets);
+  for (AccessPathMode Path : {AccessPathMode::Batched, AccessPathMode::PerLine}) {
+    for (bool Range : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "PerLine " << (Path ==
+                                          AccessPathMode::PerLine)
+                                      << ", range " << Range);
+      HybridMemory Mem(1 << 20, MemoryTechnology{}, CacheConfig{}, E);
+      Mem.setAccessPath(Path);
+      for (uint64_t I = 0; I != 3; ++I) {
+        EXPECT_NO_THROW(Mem.onAccess(I * 2 * CacheLineBytes, 8, false));
+        EXPECT_NO_THROW(Mem.onAccess(I * 2 * CacheLineBytes, 8, true));
+      }
+      const uint64_t Next = 6 * CacheLineBytes;
+      if (Range)
+        EXPECT_THROW(Mem.onAccessRange(Next, 2 * CacheLineBytes, false, 8),
+                     EngineError);
+      else
+        EXPECT_THROW(Mem.onAccess(Next, 8, false), EngineError);
+    }
+  }
+}
+
+TEST(HybridMemory, ShortSingleAccessesMatchFastRangeAndPerLine) {
+  // A single access over 2-4 lines takes one touchLine per line. The same
+  // access issued as a one-element range takes fastRange, and a PerLine
+  // twin the reference loop; all three must leave identical state. The
+  // 600-line pool is larger than the LLC, so hits, misses, stream
+  // prefetches and dirty writebacks all occur, across NVM stripes.
+  constexpr uint64_t Total = 4 << 20;
+  MemoryTechnology T;
+  T.CpuOverlapWindowNs = 150.0;
+  for (uint64_t Seed : {7ull, 2026ull}) {
+    std::vector<SimOp> Single;
+    uint64_t State = Seed;
+    for (int I = 0; I != 6000; ++I) {
+      const uint64_t R = splitMix64(State);
+      SimOp Op;
+      Op.IsWrite = (R & (1ull << 20)) != 0;
+      Op.GcActor = (R & (1ull << 21)) != 0;
+      if (R % 8 == 0) {
+        Op.Kind = SimOp::CpuWork;
+        Op.CpuNs = static_cast<double>(R % 400) * 0.5;
+      } else {
+        Op.Kind = SimOp::Access;
+        // Runs of consecutive lines feed the prefetcher.
+        const uint64_t FirstLine = (R % 3 == 0)
+                                       ? 1000 + (I % 600)
+                                       : 1000 + (R >> 24) % 600;
+        const uint64_t Span = 2 + (R >> 40) % 3; // 2..4 lines
+        const uint64_t Start = FirstLine * CacheLineBytes + (R >> 8) % 64;
+        const uint64_t Last =
+            (FirstLine + Span - 1) * CacheLineBytes + (R >> 48) % 64;
+        Op.Addr = Start;
+        Op.Bytes = Last - Start + 1;
+      }
+      Single.push_back(Op);
+    }
+    std::vector<SimOp> AsRange = Single;
+    for (SimOp &Op : AsRange)
+      if (Op.Kind == SimOp::Access) {
+        Op.Kind = SimOp::Range;
+        Op.ElemBytes = Op.Bytes;
+      }
+
+    HybridMemory A(Total, T, CacheConfig{}, 2.0e3);
+    HybridMemory B(Total, T, CacheConfig{}, 2.0e3);
+    HybridMemory C(Total, T, CacheConfig{}, 2.0e3);
+    C.setAccessPath(AccessPathMode::PerLine);
+    for (uint64_t Off = 0; Off < Total; Off += 32 * 1024)
+      for (HybridMemory *M : {&A, &B, &C})
+        M->map().setRange(Off, Off + 8 * 1024, Device::NVM);
+    replay(A, Single);
+    replay(B, AsRange);
+    replay(C, Single);
+    EXPECT_GT(A.prefetchedMisses(), 0u);
+    EXPECT_GT(A.traffic(Device::DRAM).LineWrites +
+                  A.traffic(Device::NVM).LineWrites,
+              0u);
+    expectIdenticalState(A, C);
+    expectIdenticalState(B, C);
+  }
 }

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <map>
 
 using namespace panthera;
@@ -126,6 +128,143 @@ TEST_F(RddTest, DistinctRemovesDuplicates) {
     Data[I % 4].push_back({I % 5, 1.5});
   Rdd R = RT->ctx().source(&Data).distinct();
   EXPECT_EQ(R.count(), 5);
+}
+
+namespace {
+
+/// 3000 rows over keys -100..100 plus the int64 extremes, values with
+/// fractional bits, dealt round-robin over \p Partitions.
+SourceData aggregationRows(uint32_t Partitions) {
+  SourceData Data(Partitions);
+  uint64_t State = 12345;
+  for (int I = 0; I != 3000; ++I) {
+    State = State * 6364136223846793005ull + 1442695040888963407ull;
+    const int64_t Key = static_cast<int64_t>((State >> 33) % 201) - 100;
+    const double Val = static_cast<double>((State >> 13) % 1000) / 8.0 - 50.0;
+    Data[I % Partitions].push_back({Key, Val});
+  }
+  Data[0].push_back({std::numeric_limits<int64_t>::min(), 1.0});
+  Data[Partitions - 1].push_back({std::numeric_limits<int64_t>::max(), 2.0});
+  Data[0].push_back({std::numeric_limits<int64_t>::min(), 3.0});
+  return Data;
+}
+
+/// The rows in the order one key's reduce task receives them: source
+/// partition by partition.
+std::vector<SourceRecord> shuffleOrder(const SourceData &Data) {
+  std::vector<SourceRecord> Rows;
+  for (const std::vector<SourceRecord> &Part : Data)
+    Rows.insert(Rows.end(), Part.begin(), Part.end());
+  return Rows;
+}
+
+int64_t bitsOf(double V) {
+  int64_t Bits;
+  std::memcpy(&Bits, &V, sizeof(Bits));
+  return Bits;
+}
+
+} // namespace
+
+TEST_F(RddTest, ReduceByKeyMatchesAnOrderedMapReference) {
+  // A non-commutative combine folds each key's values in row order, and
+  // one reduce partition lists its keys in ascending signed order: exactly
+  // a std::map fold. With four partitions, every key's value still matches
+  // and the output is at most four ascending runs.
+  const auto Combine = [](double A, double B) { return 2.0 * A + B; };
+  for (uint32_t P : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << P << " partitions");
+    core::RuntimeConfig Config;
+    Config.HeapPaperGB = 16;
+    Config.Engine.NumPartitions = P;
+    RT = std::make_unique<core::Runtime>(Config);
+    SourceData Data = aggregationRows(P);
+    std::map<int64_t, double> Ref;
+    for (const SourceRecord &Row : shuffleOrder(Data)) {
+      auto [It, New] = Ref.emplace(Row.Key, Row.Val);
+      if (!New)
+        It->second = Combine(It->second, Row.Val);
+    }
+    std::vector<SourceRecord> Out =
+        RT->ctx().source(&Data).reduceByKey(Combine).collect();
+    ASSERT_EQ(Out.size(), Ref.size());
+    size_t Descents = 0;
+    for (size_t I = 0; I != Out.size(); ++I) {
+      ASSERT_TRUE(Ref.count(Out[I].Key)) << Out[I].Key;
+      EXPECT_EQ(bitsOf(Out[I].Val), bitsOf(Ref[Out[I].Key])) << Out[I].Key;
+      Descents += I != 0 && Out[I].Key < Out[I - 1].Key;
+    }
+    EXPECT_LT(Descents, P);
+    if (P == 1) {
+      auto It = Ref.begin();
+      for (const SourceRecord &Rec : Out)
+        EXPECT_EQ(Rec.Key, (It++)->first);
+    }
+  }
+}
+
+TEST_F(RddTest, GroupByKeyKeepsRowOrderWithinEachGroup) {
+  core::RuntimeConfig Config;
+  Config.HeapPaperGB = 16;
+  Config.Engine.NumPartitions = 1;
+  RT = std::make_unique<core::Runtime>(Config);
+  SourceData Data = aggregationRows(1);
+  std::map<int64_t, std::vector<double>> Ref;
+  for (const SourceRecord &Row : shuffleOrder(Data))
+    Ref[Row.Key].push_back(Row.Val);
+  // One output row per buffered value, in buffer order.
+  std::vector<SourceRecord> Out =
+      RT->ctx()
+          .source(&Data)
+          .groupByKey()
+          .flatMap([](RddContext &C, ObjRef T, const TupleSink &S) {
+            heap::GcRoot Buf(C.heap(), C.payload(T));
+            const int64_t Key = C.key(T);
+            for (uint32_t J = 0, N = C.heap().arrayLength(Buf.get()); J != N;
+                 ++J)
+              S(C.makeTuple(Key, C.bufferValue(Buf.get(), J)));
+          })
+          .collect();
+  std::vector<SourceRecord> Expected;
+  for (const auto &[Key, Values] : Ref)
+    for (double V : Values)
+      Expected.push_back({Key, V});
+  ASSERT_EQ(Out.size(), Expected.size());
+  for (size_t I = 0; I != Out.size(); ++I) {
+    EXPECT_EQ(Out[I].Key, Expected[I].Key) << I;
+    EXPECT_EQ(bitsOf(Out[I].Val), bitsOf(Expected[I].Val)) << I;
+  }
+}
+
+TEST_F(RddTest, DistinctKeepsTheFirstRowOfEachBitPattern) {
+  // Distinct compares values by bit pattern: -0.0 and +0.0 are two
+  // values, and so are two NaN payloads. The first occurrence of each
+  // (key, bits) survives, in input order.
+  core::RuntimeConfig Config;
+  Config.HeapPaperGB = 16;
+  Config.Engine.NumPartitions = 1;
+  RT = std::make_unique<core::Runtime>(Config);
+  const double NanA = std::numeric_limits<double>::quiet_NaN();
+  double NanB;
+  const int64_t PayloadB = bitsOf(NanA) | 0x5;
+  std::memcpy(&NanB, &PayloadB, sizeof(NanB));
+  SourceData Data(1);
+  Data[0] = {{1, 0.0},   {1, -0.0}, {1, 0.0},   {2, NanA}, {2, NanB},
+             {2, NanA},  {-3, 1.5}, {1, -0.0},  {-3, 1.5}, {2, 0.0},
+             {-3, -1.5}, {2, NanB}, {-1, -0.0}, {1, 1.0}};
+  for (int64_t K = -50; K != 50; ++K)
+    Data[0].push_back({K * 7919, static_cast<double>(K % 3)});
+  std::map<std::pair<int64_t, int64_t>, bool> Seen;
+  std::vector<SourceRecord> Expected;
+  for (const SourceRecord &Row : Data[0])
+    if (Seen.emplace(std::make_pair(Row.Key, bitsOf(Row.Val)), true).second)
+      Expected.push_back(Row);
+  std::vector<SourceRecord> Out = RT->ctx().source(&Data).distinct().collect();
+  ASSERT_EQ(Out.size(), Expected.size());
+  for (size_t I = 0; I != Out.size(); ++I) {
+    EXPECT_EQ(Out[I].Key, Expected[I].Key) << I;
+    EXPECT_EQ(bitsOf(Out[I].Val), bitsOf(Expected[I].Val)) << I;
+  }
 }
 
 TEST_F(RddTest, UnionConcatenates) {
