@@ -1072,11 +1072,14 @@ namespace {
 struct SpacePlan {
   Space *S = nullptr;
   uint64_t Cursor = 0;
+  /// How compactHeap copies a move (see the comment there).
+  enum Route : uint8_t { Slide, Stage, Young };
   /// (OldAddr, NewAddr, Size) for live objects placed here.
   struct Move {
     uint64_t OldAddr;
     uint64_t NewAddr;
     uint32_t Size;
+    Route How;
   };
   std::vector<Move> Moves;
   /// (Addr, Bytes) filler runs recreated for card padding.
@@ -1126,7 +1129,7 @@ void Collector::compactHeap() {
       throw CompactionOverflow();
     uint64_t NewAddr = Target->Cursor;
     Target->Cursor += Size;
-    Target->Moves.push_back({Addr, NewAddr, Size});
+    Target->Moves.push_back({Addr, NewAddr, Size, SpacePlan::Slide});
     Hdr->Forward = NewAddr;
     // Re-establish card padding behind large reference arrays (§4.2.3).
     bool IsRddArray = Hdr->kind() == ObjectKind::RefArray &&
@@ -1173,77 +1176,121 @@ void Collector::compactHeap() {
         "full compaction");
   }
 
-  // Update every reference (roots + live objects) to the forward address.
+  // The copy runs in place, as in HotSpot's Parallel Old (which Panthera
+  // modifies): each old space slides down over itself. The charges are
+  // those of a full copy: one read of the source and one write of the
+  // target per move, in plan order (DRAM plan, then NVM plan). They come
+  // first and touch no heap byte, so the simulated op stream does not
+  // depend on the copy route. Every live object takes one of three routes:
+  //  - Slide: a same-space source at or above the running end of the
+  //    targets already slid; memmove in address order never overwrites a
+  //    source it has not yet moved.
+  //  - Stage: a cross-space source (migration can move objects both ways
+  //    across the DRAM/NVM boundary), or a same-space source below that
+  //    running end (objects migrated in below it, with their card
+  //    padding, push later objects above their old address). Staged
+  //    objects are copied to one side buffer before any slide and
+  //    written back after.
+  //  - Young: a promoted young object; its source is never overwritten.
+  // The bytes below each space's new top then equal a zeroed image with
+  // every object and filler copied in.
+  SpacePlan *Plans[2] = {&DramPlan, &NvmPlan};
+  for (SpacePlan *Plan : Plans)
+    for (const SpacePlan::Move &M : Plan->Moves) {
+      H.account(M.OldAddr, M.Size, /*IsWrite=*/false);
+      H.account(M.NewAddr, M.Size, /*IsWrite=*/true);
+    }
+
+  // Update every reference (live objects + roots) to the forward address
+  // while every header still holds its forward word.
+  for (SpacePlan *Plan : Plans)
+    for (const SpacePlan::Move &M : Plan->Moves) {
+      uint32_t N = H.header(M.OldAddr)->numRefSlots();
+      for (uint32_t I = 0; I != N; ++I) {
+        ObjRef Child = H.rawLoadRef(M.OldAddr, I);
+        if (!Child)
+          continue;
+        ObjectHeader *CHdr = H.header(Child.addr());
+        assert(CHdr->isMarked() && "live object references dead object");
+        H.rawStoreRef(M.OldAddr, I, ObjRef(CHdr->Forward));
+      }
+    }
   H.forEachRoot([this](ObjRef &R) {
     ObjectHeader *Hdr = H.header(R.addr());
     assert(Hdr->isMarked() && "root points to unmarked object");
     R = ObjRef(Hdr->Forward);
   });
-  auto UpdateRefs = [&](uint64_t Addr) {
-    ObjectHeader *Hdr = H.header(Addr);
-    if (!Hdr->isMarked())
-      return;
-    uint32_t N = Hdr->numRefSlots();
-    for (uint32_t I = 0; I != N; ++I) {
-      ObjRef Child = H.rawLoadRef(Addr, I);
-      if (!Child)
-        continue;
-      ObjectHeader *CHdr = H.header(Child.addr());
-      assert(CHdr->isMarked() && "live object references dead object");
-      H.rawStoreRef(Addr, I, ObjRef(CHdr->Forward));
-    }
-  };
-  for (Space *S : H.oldSpaces())
-    H.walkObjects(S->base(), S->top(), UpdateRefs);
-  for (Space *S : {&H.eden(), &H.fromSpace(), &H.toSpace()})
-    H.walkObjects(S->base(), S->top(), UpdateRefs);
 
-  // Copy through staging images. Migration makes sources and targets
-  // overlap across spaces (a DRAM-resident object may move to NVM while a
-  // hot NVM object moves the other way), so *every* staging image must be
-  // built from the originals before any space is overwritten.
-  CardTable &Cards = H.cardTable();
-  std::vector<uint8_t> StagingImages[2];
-  SpacePlan *Plans[2] = {&DramPlan, &NvmPlan};
-  for (unsigned PI = 0; PI != 2; ++PI) {
-    SpacePlan *Plan = Plans[PI];
-    if (!Plan->S || Plan->S->sizeBytes() == 0)
-      continue;
-    Space *S = Plan->S;
-    std::vector<uint8_t> &Staging = StagingImages[PI];
-    Staging.assign(static_cast<size_t>(Plan->Cursor - S->base()), 0);
-    for (const SpacePlan::Move &M : Plan->Moves) {
-      H.account(M.OldAddr, M.Size, /*IsWrite=*/false);
-      H.account(M.NewAddr, M.Size, /*IsWrite=*/true);
-      std::memcpy(&Staging[M.NewAddr - S->base()], H.rawBytes(M.OldAddr),
-                  M.Size);
-      ObjectHeader *NewHdr =
-          reinterpret_cast<ObjectHeader *>(&Staging[M.NewAddr - S->base()]);
-      NewHdr->Forward = 0;
-      NewHdr->setMarked(false);
-      NewHdr->Age = T.TenureAge; // everything here is tenured now
-      NewHdr->WriteCount = 0;    // KW monitoring window resets
-    }
-    for (auto [Addr, Bytes] : Plan->Fillers) {
-      ObjectHeader *F =
-          reinterpret_cast<ObjectHeader *>(&Staging[Addr - S->base()]);
-      F->SizeBytes = static_cast<uint32_t>(Bytes);
-      F->Kind = static_cast<uint8_t>(ObjectKind::PrimArray);
-      F->Aux = 1;
-      F->Length = static_cast<uint32_t>(Bytes - sizeof(ObjectHeader));
+  // Route every move, then stage the sources a slide could overwrite.
+  uint64_t StagedBytes = 0;
+  for (SpacePlan *Plan : Plans) {
+    uint64_t SlidEnd = 0;
+    for (SpacePlan::Move &M : Plan->Moves) {
+      if (H.isYoung(M.OldAddr)) {
+        M.How = SpacePlan::Young;
+      } else if (!Plan->S->contains(M.OldAddr) || M.OldAddr < SlidEnd) {
+        M.How = SpacePlan::Stage;
+        StagedBytes += M.Size;
+      } else {
+        M.How = SpacePlan::Slide;
+        SlidEnd = M.NewAddr + M.Size;
+      }
     }
   }
-  for (unsigned PI = 0; PI != 2; ++PI) {
-    SpacePlan *Plan = Plans[PI];
+  std::vector<uint8_t> Side(StagedBytes);
+  uint64_t SideAt = 0;
+  for (SpacePlan *Plan : Plans)
+    for (const SpacePlan::Move &M : Plan->Moves)
+      if (M.How == SpacePlan::Stage) {
+        std::memcpy(&Side[SideAt], H.rawBytes(M.OldAddr), M.Size);
+        SideAt += M.Size;
+      }
+
+  // Everything here is tenured now, and the KW monitoring window resets.
+  auto Settle = [&](uint64_t Addr) {
+    ObjectHeader *Hdr = H.header(Addr);
+    Hdr->Forward = 0;
+    Hdr->setMarked(false);
+    Hdr->Age = T.TenureAge;
+    Hdr->WriteCount = 0;
+  };
+  for (SpacePlan *Plan : Plans)
+    for (const SpacePlan::Move &M : Plan->Moves)
+      if (M.How == SpacePlan::Slide) {
+        if (M.NewAddr != M.OldAddr)
+          std::memmove(H.rawBytes(M.NewAddr), H.rawBytes(M.OldAddr), M.Size);
+        Settle(M.NewAddr);
+      }
+  SideAt = 0;
+  for (SpacePlan *Plan : Plans)
+    for (const SpacePlan::Move &M : Plan->Moves) {
+      if (M.How == SpacePlan::Stage) {
+        std::memcpy(H.rawBytes(M.NewAddr), &Side[SideAt], M.Size);
+        SideAt += M.Size;
+      } else if (M.How == SpacePlan::Young) {
+        std::memcpy(H.rawBytes(M.NewAddr), H.rawBytes(M.OldAddr), M.Size);
+      } else {
+        continue;
+      }
+      Settle(M.NewAddr);
+    }
+
+  CardTable &Cards = H.cardTable();
+  for (SpacePlan *Plan : Plans) {
     if (!Plan->S)
       continue;
     Space *S = Plan->S;
     Cards.clearRange(S->base(), S->end());
     if (S->sizeBytes() == 0)
       continue;
-    std::vector<uint8_t> &Staging = StagingImages[PI];
-    if (!Staging.empty())
-      std::memcpy(H.rawBytes(S->base()), Staging.data(), Staging.size());
+    for (auto [Addr, Bytes] : Plan->Fillers) {
+      std::memset(H.rawBytes(Addr), 0, Bytes);
+      ObjectHeader *F = H.header(Addr);
+      F->SizeBytes = static_cast<uint32_t>(Bytes);
+      F->Kind = static_cast<uint8_t>(ObjectKind::PrimArray);
+      F->Aux = 1;
+      F->Length = static_cast<uint32_t>(Bytes - sizeof(ObjectHeader));
+    }
     S->reset();
     S->setTop(Plan->Cursor);
     for (const SpacePlan::Move &M : Plan->Moves)

@@ -124,29 +124,6 @@ std::vector<Space *> Heap::oldSpaces() {
 // Allocation
 //===----------------------------------------------------------------------===
 
-void Heap::formatObject(uint64_t Addr, uint32_t SizeBytes, ObjectKind Kind,
-                        uint32_t Aux, uint32_t Length, uint32_t RddId,
-                        MemTag Tag) {
-  std::memset(&Buffer[Addr], 0, SizeBytes);
-  ObjectHeader *H = header(Addr);
-  H->SizeBytes = SizeBytes;
-  H->Kind = static_cast<uint8_t>(Kind);
-  H->Aux = static_cast<uint8_t>(Aux);
-  H->Length = Length;
-  H->RddId = RddId;
-  H->setMemTag(Tag);
-  // Allocate-black: objects born during an incremental marking cycle are
-  // live by definition for that cycle (fillers stay unmarked -- they are
-  // reclaimed at compaction like any dead object).
-  if (AllocBlack)
-    H->setMarked(true);
-  ++Stats.ObjectsAllocated;
-  Stats.BytesAllocated += SizeBytes;
-  // Zero-initialization traffic (TLAB zeroing in a real JVM).
-  Mem.onAccess(Addr, SizeBytes, /*IsWrite=*/true);
-  Mem.addCpuWorkNs(Config.Tuning.AllocCpuNs);
-}
-
 uint64_t Heap::allocateYoung(uint32_t Bytes) {
   assert(!InGcFlag && "collector must not allocate through the young path");
   if (Faults && Faults->shouldFail(FaultSite::Allocation)) {
@@ -649,17 +626,6 @@ void Heap::forEachRoot(const std::function<void(ObjRef &)> &Fn) {
 //===----------------------------------------------------------------------===
 // Space walking
 //===----------------------------------------------------------------------===
-
-void Heap::walkObjects(uint64_t Start, uint64_t End,
-                       const std::function<void(uint64_t)> &Fn) {
-  uint64_t Addr = Start;
-  while (Addr < End) {
-    uint32_t Size = header(Addr)->SizeBytes;
-    assert(Size >= sizeof(ObjectHeader) && "corrupt object header");
-    Fn(Addr);
-    Addr += Size;
-  }
-}
 
 uint64_t Heap::firstObjectIntersectingCard(Space &S, size_t CardIdx,
                                            uint64_t Top) {

@@ -368,9 +368,19 @@ public:
   /// here -- callers account the waste to the right counter.
   void writeFillerObject(uint64_t Addr, uint64_t Bytes);
 
-  /// Walks all objects in [Start, End) in address order.
-  void walkObjects(uint64_t Start, uint64_t End,
-                   const std::function<void(uint64_t)> &Fn);
+  /// Walks all objects in [Start, End) in address order, calling
+  /// \p Fn(Addr) on each. A template so the collector's per-object
+  /// visitors inline.
+  template <typename Visitor>
+  void walkObjects(uint64_t Start, uint64_t End, Visitor Fn) {
+    uint64_t Addr = Start;
+    while (Addr < End) {
+      uint32_t Size = header(Addr)->SizeBytes;
+      assert(Size >= sizeof(ObjectHeader) && "corrupt object header");
+      Fn(Addr);
+      Addr += Size;
+    }
+  }
 
   /// First object whose byte range intersects card \p CardIdx of \p S,
   /// or 0 when the card is past the allocation frontier \p Top. Objects
@@ -415,10 +425,29 @@ private:
   friend class GcRoot;
 
   /// Initializes a header at \p Addr and zeroes the payload; charges the
-  /// allocation-write traffic.
+  /// allocation-write traffic. Inline: every allocation runs it.
   void formatObject(uint64_t Addr, uint32_t SizeBytes, ObjectKind Kind,
                     uint32_t Aux, uint32_t Length, uint32_t RddId,
-                    MemTag Tag);
+                    MemTag Tag) {
+    std::memset(&Buffer[Addr], 0, SizeBytes);
+    ObjectHeader *H = header(Addr);
+    H->SizeBytes = SizeBytes;
+    H->Kind = static_cast<uint8_t>(Kind);
+    H->Aux = static_cast<uint8_t>(Aux);
+    H->Length = Length;
+    H->RddId = RddId;
+    H->setMemTag(Tag);
+    // Allocate-black: objects born during an incremental marking cycle are
+    // live by definition for that cycle (fillers stay unmarked -- they are
+    // reclaimed at compaction like any dead object).
+    if (AllocBlack)
+      H->setMarked(true);
+    ++Stats.ObjectsAllocated;
+    Stats.BytesAllocated += SizeBytes;
+    // Zero-initialization traffic (TLAB zeroing in a real JVM).
+    Mem.onAccess(Addr, SizeBytes, /*IsWrite=*/true);
+    Mem.addCpuWorkNs(Config.Tuning.AllocCpuNs);
+  }
 
   /// Narrows a 64-bit computed object size into the uint32 header field;
   /// throws a typed OutOfMemoryError when it does not fit.

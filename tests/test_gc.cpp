@@ -5,10 +5,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "gc/Collector.h"
+#include "gc/HeapVerifier.h"
+#include "support/Errors.h"
 #include "support/Units.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -34,6 +37,46 @@ protected:
         memsim::MemoryTechnology{}, memsim::CacheConfig{});
     H = std::make_unique<Heap>(HC, *Mem);
     C = std::make_unique<Collector>(*H, Policy, &Monitor);
+  }
+
+  /// Fills the first \p N slots of \p Arr with young tuples holding
+  /// \p Tag + slot index as payload.
+  void fillWithTuples(ObjRef Arr, uint32_t N, int64_t Tag) {
+    for (uint32_t I = 0; I != N; ++I) {
+      ObjRef T = H->allocPlain(0, 16);
+      H->storeI64(T, 0, Tag + I);
+      H->storeRef(Arr, I, T);
+    }
+  }
+
+  void expectTuples(ObjRef Arr, uint32_t N, int64_t Tag) {
+    for (uint32_t I = 0; I != N; ++I) {
+      ObjRef T = H->loadRef(Arr, I);
+      ASSERT_FALSE(T.isNull()) << "slot " << I;
+      EXPECT_EQ(H->loadI64(T, 0), Tag + I) << "slot " << I;
+    }
+  }
+
+  /// What every compaction test checks after a major GC: the verifier is
+  /// clean and each filler the compaction wrote (a PrimArray of 1-byte
+  /// elements; these tests allocate no other) has an all-zero body.
+  /// Returns the number of fillers.
+  size_t checkCompactedHeap() {
+    VerifyResult V = verifyHeap(*H);
+    EXPECT_TRUE(V.Ok) << V.FirstProblem;
+    size_t Fillers = 0;
+    for (Space *S : H->oldSpaces())
+      H->walkObjects(S->base(), S->top(), [&](uint64_t A) {
+        const ObjectHeader *Hdr = H->header(A);
+        if (Hdr->kind() != ObjectKind::PrimArray || Hdr->Aux != 1)
+          return;
+        ++Fillers;
+        const uint8_t *Body = H->rawBytes(A + sizeof(ObjectHeader));
+        EXPECT_TRUE(std::all_of(Body, Body + Hdr->Length,
+                                [](uint8_t B) { return B == 0; }))
+            << "filler at " << A << " has a nonzero body";
+      });
+    return Fillers;
   }
 
   std::unique_ptr<memsim::HybridMemory> Mem;
@@ -296,6 +339,141 @@ TEST_F(GcTest, MigrationMovesReachableClosure) {
   EXPECT_EQ(H->loadI64(Moved, 0), 9);
 }
 
+// The major GC copies in place by one of three routes (Collector.cpp,
+// compactHeap); each test below drives one and checks the result.
+
+TEST_F(GcTest, CompactionSlidesLiveArrayDownOverDeadOne) {
+  build(PolicyKind::Panthera);
+  {
+    H->setPendingArrayTag(MemTag::Nvm, 1);
+    ObjRef Dead = H->allocRefArray(1024);
+    fillWithTuples(Dead, 1024, 0);
+  }
+  H->setPendingArrayTag(MemTag::Nvm, 2);
+  GcRoot Live(*H, H->allocRefArray(2048));
+  fillWithTuples(Live.get(), 2048, 1000);
+  uint64_t OldAddr = Live.get().addr();
+  ASSERT_TRUE(H->oldNvm().contains(OldAddr));
+  C->collectMajor("slide");
+  EXPECT_TRUE(H->oldNvm().contains(Live.get().addr()));
+  EXPECT_LT(Live.get().addr(), OldAddr) << "the live array slid down";
+  expectTuples(Live.get(), 2048, 1000);
+  // The card padding behind the slid array lands on its old slots.
+  EXPECT_GE(checkCompactedHeap(), 1u);
+}
+
+TEST_F(GcTest, CompactionMigratesArraysAcrossTheBoundaryBothWays) {
+  build(PolicyKind::Panthera);
+  H->setPendingArrayTag(MemTag::Nvm, 42);
+  GcRoot Hot(*H, H->allocRefArray(2048));
+  H->header(Hot.get().addr())->setMemTag(MemTag::None);
+  fillWithTuples(Hot.get(), 256, 0);
+  H->setPendingArrayTag(MemTag::Dram, 43);
+  GcRoot Cold(*H, H->allocRefArray(2048));
+  H->header(Cold.get().addr())->setMemTag(MemTag::None);
+  fillWithTuples(Cold.get(), 256, 5000);
+  C->collectMinor("promote tuples");
+  ASSERT_TRUE(H->oldNvm().contains(Hot.get().addr()));
+  ASSERT_TRUE(H->oldDram().contains(Cold.get().addr()));
+  for (int I = 0; I != 20; ++I)
+    Monitor.recordCall(42);
+  C->collectMajor("migrate both ways");
+  EXPECT_TRUE(H->oldDram().contains(Hot.get().addr()));
+  EXPECT_TRUE(H->oldNvm().contains(Cold.get().addr()));
+  EXPECT_EQ(C->stats().MigratedRddArraysToDram, 1u);
+  EXPECT_EQ(C->stats().MigratedRddArraysToNvm, 1u);
+  expectTuples(Hot.get(), 256, 0);
+  expectTuples(Cold.get(), 256, 5000);
+  checkCompactedHeap();
+}
+
+TEST_F(GcTest, CompactionStagesSourcesBelowTheSlideFrontier) {
+  build(PolicyKind::Panthera);
+  // Old NVM from its base: array A, its card padding, then A's tuples,
+  // eagerly promoted behind it.
+  H->setPendingArrayTag(MemTag::Nvm, 1);
+  GcRoot A(*H, H->allocRefArray(2048));
+  fillWithTuples(A.get(), 64, 7000);
+  C->collectMinor("promote tuples");
+  uint64_t AOld = A.get().addr();
+  ASSERT_EQ(AOld, H->oldNvm().base());
+  uint64_t TupleOld = H->loadRef(A.get(), 0).addr();
+  ASSERT_TRUE(H->oldNvm().contains(TupleOld));
+  // A cold DRAM array demoted to NVM is placed below A. Its 2105 slots
+  // end 488 bytes into a card, which forces the two-card gap, so A slides
+  // up past its old end and its tuples lie below the slide frontier.
+  H->setPendingArrayTag(MemTag::Dram, 2);
+  GcRoot D(*H, H->allocRefArray(2105));
+  H->header(D.get().addr())->setMemTag(MemTag::None);
+  C->collectMajor("demote below");
+  ASSERT_EQ(D.get().addr(), H->oldNvm().base());
+  uint64_t DEnd = D.get().addr() + H->header(D.get().addr())->SizeBytes;
+  EXPECT_GT(DEnd % CardTable::CardBytes,
+            CardTable::CardBytes - sizeof(ObjectHeader));
+  EXPECT_GT(A.get().addr() - DEnd, CardTable::CardBytes) << "two-card gap";
+  // A was slid; the first tuple's source lies below A's new end, so a
+  // slide would have overwritten it before it moved.
+  uint64_t AEnd = A.get().addr() + H->header(A.get().addr())->SizeBytes;
+  EXPECT_GT(A.get().addr(), AOld);
+  EXPECT_LT(TupleOld, AEnd);
+  EXPECT_TRUE(H->oldNvm().contains(H->loadRef(A.get(), 0).addr()));
+  expectTuples(A.get(), 64, 7000);
+  EXPECT_GE(checkCompactedHeap(), 2u);
+}
+
+TEST_F(GcTest, CompactionPromotesYoungObjectsIntoVacatedSpace) {
+  build(PolicyKind::Panthera);
+  uint64_t Vacated;
+  {
+    H->setPendingArrayTag(MemTag::Nvm, 5);
+    ObjRef Dead = H->allocRefArray(2048);
+    Vacated = Dead.addr();
+  }
+  GcRoot Young(*H, H->allocRefArray(32));
+  fillWithTuples(Young.get(), 32, 300);
+  ASSERT_TRUE(H->isYoung(Young.get().addr()));
+  C->collectMajor("promote into vacated");
+  EXPECT_TRUE(H->oldNvm().contains(Young.get().addr()));
+  EXPECT_EQ(Young.get().addr(), Vacated) << "promoted over the dead array";
+  EXPECT_EQ(H->eden().usedBytes(), 0u);
+  expectTuples(Young.get(), 32, 300);
+  checkCompactedHeap();
+}
+
+TEST_F(GcTest, CompactionOverflowUnwindsMarksAndForwards) {
+  build(PolicyKind::Panthera, /*HeapGB=*/2);
+  // No monitor: dynamic migration must not reshuffle the packed layout.
+  C = std::make_unique<Collector>(*H, PolicyKind::Panthera, nullptr);
+  // Root pretenured arrays until one falls back to a young allocation:
+  // both old components are then full even after a major GC, so the
+  // young array cannot be placed by the next compaction.
+  std::vector<size_t> Ids;
+  for (int I = 0; I != 1000; ++I) {
+    H->setPendingArrayTag(MemTag::Dram, 1);
+    ObjRef Arr = H->allocRefArray(1024);
+    Ids.push_back(H->addPersistentRoot(Arr));
+    if (H->isYoung(Arr.addr()))
+      break;
+  }
+  ASSERT_TRUE(H->isYoung(H->persistentRoot(Ids.back()).addr()));
+  EXPECT_THROW(C->collectMajor("overflow"), OutOfMemoryError);
+  EXPECT_FALSE(H->inGc());
+  size_t Objects = 0;
+  auto Clean = [&](uint64_t Addr) {
+    const ObjectHeader *Hdr = H->header(Addr);
+    EXPECT_FALSE(Hdr->isMarked()) << "mark bit left at " << Addr;
+    EXPECT_EQ(Hdr->Forward, 0u) << "forward word left at " << Addr;
+    ++Objects;
+  };
+  for (Space *S : H->oldSpaces())
+    H->walkObjects(S->base(), S->top(), Clean);
+  for (Space *S : {&H->eden(), &H->fromSpace(), &H->toSpace()})
+    H->walkObjects(S->base(), S->top(), Clean);
+  EXPECT_GE(Objects, Ids.size());
+  VerifyResult V = verifyHeap(*H);
+  EXPECT_TRUE(V.Ok) << V.FirstProblem;
+}
+
 TEST_F(GcTest, KingsguardNurseryPromotesToNvmOnly) {
   build(PolicyKind::KingsguardNursery);
   GcRoot R(*H, H->allocPlain(0, 16));
@@ -420,7 +598,7 @@ TEST_F(GcTest, EventLogCountsPromotedBytes) {
 /// survivors can neither tenure by age nor be promoted, so their age must
 /// pin at 255 across further minor GCs instead of wrapping to 0 (which
 /// restarts the tenuring clock and strands hot objects in the nursery).
-TEST(GcAgeSaturation, ParallelScavengeSaturatesAt255) {
+TEST(GcAgeSaturation, ScavengeSaturatesAt255) {
   HeapConfig HC = makeHeapConfig(PolicyKind::Panthera, 2, 1.0 / 3.0);
   HC.NativeBytes = PaperGB / 4;
   HC.Tuning.TenureAge = 255;

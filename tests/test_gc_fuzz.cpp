@@ -57,7 +57,7 @@ TEST(GcFuzzRegression, SurvivorAgeSaturatesParallelScavenge) {
   EXPECT_TRUE(R.Ok) << R.Problem;
 }
 
-TEST(GcFuzzRegression, SurvivorAgeSaturatesAtEveryWorkerCount) {
+TEST(GcFuzzRegression, SurvivorAgeSaturatesAtSeed3) {
   FuzzResult R = run(3, 465, FuzzConfigKind::Pressure);
   ASSERT_TRUE(R.Ok) << R.Problem;
   EXPECT_GT(R.MinorGcs, 0u);

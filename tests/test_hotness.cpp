@@ -88,9 +88,11 @@ TEST(HotnessTracker, SplitsConcentrateRegionsOnTheHotRange) {
   EXPECT_LE(HotR->bytes(), 4 * Page)
       << "splitting should have refined the hot region";
   // Density in the hot region dwarfs every region not overlapping it.
-  for (const HotRegion &R : T.regions())
-    if (R.End <= Hot || R.Start > Hot + Page)
+  for (const HotRegion &R : T.regions()) {
+    if (R.End <= Hot || R.Start > Hot + Page) {
       EXPECT_GT(HotR->samplesPerPage(), 4.0 * R.samplesPerPage());
+    }
+  }
 }
 
 TEST(HotnessTracker, ColdRegionsMergeBackAndTheTableStaysBounded) {

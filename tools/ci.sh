@@ -169,6 +169,16 @@ echo "=== hotness tests (asan/ubsan) ==="
 ./build-san/tests/test_hotness
 echo "ci: hotness tests clean under sanitizers"
 
+# In-place compaction under ASan/UBSan (DESIGN.md §4 item 6): this cell
+# migrates RDD arrays across the DRAM/NVM boundary and pushes same-space
+# objects above their old address, so both side-buffer copy routes run,
+# with heap verification after every collection.
+echo "=== in-place compaction cell (asan/ubsan) ==="
+./build-san/tools/panthera_sim --workload=CC --heap=4 --scale=0.25 \
+  --policy=panthera --verify >"${obs}/compact.txt"
+grep -o 'result checksum: [0-9.]*' "${obs}/compact.txt"
+echo "ci: compaction copy routes clean under sanitizers"
+
 # The straggler sweep under UBSan: the speculation/makespan arithmetic and
 # the elastic block-migration paths run sanitized end to end, and the
 # sweep FATALs by itself if the 16x-straggler contract breaks. Scale 0.5
