@@ -19,15 +19,6 @@
 namespace panthera {
 namespace analysis {
 
-/// True for RDD-to-RDD transformations (lazy).
-inline bool isTransformation(std::string_view Name) {
-  return Name == "map" || Name == "filter" || Name == "flatMap" ||
-         Name == "mapValues" || Name == "distinct" || Name == "groupByKey" ||
-         Name == "reduceByKey" || Name == "join" || Name == "values" ||
-         Name == "union" || Name == "keys" || Name == "mapPartitions" ||
-         Name == "subtract";
-}
-
 /// True for actions (force evaluation).
 inline bool isAction(std::string_view Name) {
   return Name == "count" || Name == "collect" || Name == "reduce" ||
@@ -39,14 +30,6 @@ inline bool isAction(std::string_view Name) {
 inline bool isPersist(std::string_view Name) { return Name == "persist"; }
 inline bool isUnpersist(std::string_view Name) {
   return Name == "unpersist";
-}
-
-/// True for the storage levels that live (at least partly) in memory and
-/// therefore get expanded into _DRAM/_NVM sub-levels by the analysis (§3).
-inline bool isMemoryStorageLevel(std::string_view Level) {
-  return Level == "MEMORY_ONLY" || Level == "MEMORY_ONLY_SER" ||
-         Level == "MEMORY_AND_DISK" || Level == "MEMORY_AND_DISK_SER" ||
-         Level == "MEMORY_ONLY_2" || Level == "MEMORY_AND_DISK_2";
 }
 
 } // namespace analysis

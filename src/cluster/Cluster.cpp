@@ -14,6 +14,17 @@
 namespace panthera {
 namespace cluster {
 
+/// Serialization + deserialization CPU per shuffle record crossing the
+/// fabric (matches the engine's ShuffleRecordCpuNs scale).
+static constexpr double NetSerNsPerRecord = 15.0;
+/// Delay scheduling (Zaharia et al., EuroSys'10): accept a non-preferred
+/// executor only when the preferred one is more than this many tasks ahead
+/// of the least-loaded one in the current stage.
+static constexpr uint64_t DelaySchedulingSlack = 1;
+/// A task is a straggler when its scaled cost exceeds this multiple of the
+/// stage's running median task cost (spark.speculation.multiplier).
+static constexpr double SpeculationMultiplier = 1.5;
+
 //===----------------------------------------------------------------------===
 // Executor
 //===----------------------------------------------------------------------===
@@ -66,8 +77,6 @@ void Cluster::beginStage() {
   std::fill(StageLoad.begin(), StageLoad.end(), 0);
   std::fill(StageCost.begin(), StageCost.end(), 0.0);
   StageBaseCosts.clear();
-  ++StageCounter;
-  applyElasticEvents();
 }
 
 unsigned Cluster::placeTask(int Preferred) {
@@ -96,8 +105,7 @@ unsigned Cluster::placeTask(int Preferred) {
       // The data lives on a flagged straggler: give up the PROCESS_LOCAL
       // hint rather than queue behind a degraded machine.
       ++Stats.StragglerAvoidedPlacements;
-    } else if (StageLoad[Preferred] <=
-               MinLoad + Config.Options.DelaySchedulingSlack) {
+    } else if (StageLoad[Preferred] <= MinLoad + DelaySchedulingSlack) {
       ++Stats.ProcessLocalTasks;
       ++StageLoad[Preferred];
       return static_cast<unsigned>(Preferred);
@@ -147,7 +155,7 @@ Cluster::SpeculationOutcome Cluster::accountTask(unsigned Exec,
   std::sort(Sorted.begin(), Sorted.end());
   double Median = Sorted[Sorted.size() / 2];
   bool Straggling = Opt.SpeculationEnabled && Median > 0.0 &&
-                    Scaled > Opt.SpeculationMultiplier * Median &&
+                    Scaled > SpeculationMultiplier * Median &&
                     numAlive() > 1;
   if (!Straggling) {
     StageCost[Exec] += Scaled;
@@ -172,7 +180,7 @@ Cluster::SpeculationOutcome Cluster::accountTask(unsigned Exec,
   // past the threshold at Detect, launches the copy then, and the first
   // finisher wins; the loser runs until the winner completes and is
   // killed, its occupancy wasted.
-  double Detect = std::min(Scaled, Opt.SpeculationMultiplier * Median);
+  double Detect = std::min(Scaled, SpeculationMultiplier * Median);
   double CopyDone = Detect + BaseNs * Slowdown[Alt];
   double Eff = std::min(Scaled, CopyDone);
   StageCost[Exec] += Eff;
@@ -256,19 +264,12 @@ void Cluster::registerMapOutput(uint32_t Map, uint32_t Reduce, unsigned Exec,
   Stats.BytesStored += Bytes;
   if (Records == 0)
     return;
-  storeBlock(B, Exec, Data);
-}
-
-void Cluster::storeBlock(BlockInfo &B, unsigned Exec, const void *Data) {
-  B.Exec = Exec;
-  B.Lost = false;
-  B.DiskCopy.clear();
   Executor &E = *Executors[Exec];
   // Serializing the block is executor-side work: CPU plus the native-region
   // write traffic land on the executor's private clock, never the driver's.
   // A degraded executor serializes at its slowed rate.
-  E.memory().addCpuWorkNs(Config.Options.NetSerNsPerRecord *
-                          static_cast<double>(B.Records) * Slowdown[Exec]);
+  E.memory().addCpuWorkNs(NetSerNsPerRecord * static_cast<double>(Records) *
+                          Slowdown[Exec]);
   B.Addr = E.arenaAlloc(B.Bytes);
   if (B.Addr != offheap::NoAddress) {
     E.heap().nativeWrite(B.Addr, Data, B.Bytes);
@@ -350,9 +351,8 @@ bool Cluster::fetchBlock(uint32_t Map, uint32_t Reduce, unsigned DstExec,
     // replica read above already paid the memory traffic through the
     // owner's simulated memory (and disk-spilled blocks their
     // deserialization CPU); nothing else crosses any wire. Dropped
-    // fetches and decommission migration still ride the fabric: a drop
-    // models a request that left the host, and migration copies to
-    // executors on other hosts.
+    // fetches still ride the fabric: a drop models a request that left
+    // the host.
     ++Stats.ZeroCopyBlocksFetched;
     Stats.ZeroCopyBytesFetched += B.Bytes;
     if (Trace)
@@ -370,7 +370,7 @@ bool Cluster::fetchBlock(uint32_t Map, uint32_t Reduce, unsigned DstExec,
   // on the driver's simulated clock (1 GB/s == 1 byte/ns). A degraded
   // owner serves its serialization at the slowed rate.
   double Ns =
-      O.NetSerNsPerRecord * static_cast<double>(B.Records) *
+      NetSerNsPerRecord * static_cast<double>(B.Records) *
           Slowdown[B.Exec] +
       O.NetLatencyUs * 1000.0 +
       static_cast<double>(B.Bytes) / O.NetBandwidthGBps;
@@ -461,102 +461,6 @@ void Cluster::markMapOutputLost(uint32_t Map) {
   }
 }
 
-void Cluster::decommissionExecutor(unsigned Id) {
-  PANTHERA_CHECK(Id < Executors.size(), "decommission of an unknown executor");
-  Executor &E = *Executors[Id];
-  PANTHERA_CHECK(E.alive(), "decommission of a dead executor");
-  PANTHERA_CHECK(numAlive() > 1, "cannot decommission the last live executor");
-  // Graceful exit: every active-shuffle block the executor holds is
-  // re-registered on a surviving executor before the machine leaves, so
-  // (unlike killExecutor) nothing needs lineage recomputation. Targets
-  // are chosen greedily by migrated bytes so the blocks spread out.
-  double Start = DriverMem.totalTimeNs();
-  double FabricNs = 0.0;
-  uint64_t MovedBlocks = 0, MovedBytes = 0;
-  std::vector<uint64_t> TargetBytes(Executors.size(), 0);
-  const ClusterOptions &O = Config.Options;
-  for (uint32_t M = 0; M != MapCount; ++M) {
-    for (uint32_t R = 0; R != ReduceCount; ++R) {
-      BlockInfo &B = block(M, R);
-      if (B.Exec != Id || B.Lost || B.Records == 0)
-        continue;
-      // Read the replica out of the leaving executor...
-      Scratch.resize(B.Bytes);
-      if (B.Addr != offheap::NoAddress)
-        E.heap().nativeRead(B.Addr, Scratch.data(), B.Bytes);
-      else
-        std::memcpy(Scratch.data(), B.DiskCopy.data(), B.Bytes);
-      // ...pick the surviving executor with the fewest migrated bytes
-      // (lowest id on ties)...
-      int Target = -1;
-      for (unsigned T = 0; T != Executors.size(); ++T) {
-        if (T == Id || !Executors[T]->alive())
-          continue;
-        if (Target < 0 || TargetBytes[T] < TargetBytes[Target])
-          Target = static_cast<int>(T);
-      }
-      PANTHERA_CHECK(Target >= 0, "no live executor to migrate blocks to");
-      TargetBytes[Target] += B.Bytes;
-      // ...and push it over the fabric (driver clock, like any remote
-      // transfer; the receiving side re-serializes into its arena).
-      FabricNs += O.NetSerNsPerRecord * static_cast<double>(B.Records) *
-                      Slowdown[Id] +
-                  O.NetLatencyUs * 1000.0 +
-                  static_cast<double>(B.Bytes) / O.NetBandwidthGBps;
-      storeBlock(B, static_cast<unsigned>(Target), Scratch.data());
-      ++MovedBlocks;
-      MovedBytes += B.Bytes;
-    }
-  }
-  if (FabricNs > 0.0) {
-    DriverMem.addCpuWorkNs(FabricNs);
-    Stats.NetworkNs += FabricNs;
-  }
-  Stats.BlocksMigrated += MovedBlocks;
-  Stats.BytesMigrated += MovedBytes;
-  ++Stats.ExecutorsDecommissioned;
-  // Its cached partitions leave with it; stale PROCESS_LOCAL hints on
-  // this executor now resolve to -1 and fall back to ANY placement.
-  Locations.erase(std::remove_if(Locations.begin(), Locations.end(),
-                                 [Id](const std::pair<uint64_t, unsigned> &L) {
-                                   return L.second == Id;
-                                 }),
-                  Locations.end());
-  E.kill();
-  if (Trace)
-    Trace->span(support::TraceTrack::Network, "decommission", "cluster",
-                Start, DriverMem.totalTimeNs() - Start)
-        .arg("executor", static_cast<uint64_t>(Id))
-        .arg("blocks_migrated", MovedBlocks)
-        .arg("bytes_migrated", MovedBytes);
-}
-
-unsigned Cluster::addExecutor() {
-  unsigned Id = static_cast<unsigned>(Executors.size());
-  Executors.push_back(std::make_unique<Executor>(Id, Config));
-  StageLoad.push_back(0);
-  StageCost.push_back(0.0);
-  Slowdown.push_back(1.0);
-  Flagged.push_back(0);
-  ++Stats.ExecutorsJoined;
-  if (Trace)
-    Trace->instant(support::TraceTrack::Engine, "executor joined", "cluster",
-                   DriverMem.totalTimeNs())
-        .arg("executor", static_cast<uint64_t>(Id));
-  return Id;
-}
-
-void Cluster::applyElasticEvents() {
-  for (const ElasticEvent &Ev : Config.Options.Elastic) {
-    if (Ev.AtStage != StageCounter)
-      continue;
-    if (Ev.Join)
-      addExecutor();
-    else
-      decommissionExecutor(Ev.Exec);
-  }
-}
-
 void Cluster::publishMetrics(support::MetricsRegistry &M) const {
   M.gauge("cluster.executors").set(static_cast<double>(Executors.size()));
   M.gauge("cluster.executors_alive").set(static_cast<double>(numAlive()));
@@ -588,11 +492,6 @@ void Cluster::publishMetrics(support::MetricsRegistry &M) const {
   M.counter("cluster.fetch_retry.corrupt").set(Stats.FetchCorruptions);
   M.gauge("cluster.fetch_retry.backoff_ns").set(Stats.FetchBackoffNs);
   M.counter("cluster.fetch_retry.escalations").set(Stats.FetchEscalations);
-  M.counter("cluster.elastic.decommissioned")
-      .set(Stats.ExecutorsDecommissioned);
-  M.counter("cluster.elastic.joined").set(Stats.ExecutorsJoined);
-  M.counter("cluster.elastic.blocks_migrated").set(Stats.BlocksMigrated);
-  M.counter("cluster.elastic.bytes_migrated").set(Stats.BytesMigrated);
   for (unsigned I = 0; I != Executors.size(); ++I) {
     const Executor &E = *Executors[I];
     std::string Prefix = "cluster.exec" + std::to_string(I) + ".";

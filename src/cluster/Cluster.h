@@ -52,15 +52,6 @@
 namespace panthera {
 namespace cluster {
 
-/// One scheduled elastic-cluster event (panthera_sim: --decommission=E@K,
-/// --join-at=K). AtStage counts cluster stages 1-based: the event fires
-/// when the driver opens that stage (beginStage), before any placement.
-struct ElasticEvent {
-  bool Join = false;    ///< true: add an executor; false: decommission.
-  unsigned Exec = 0;    ///< Decommission target (ignored for joins).
-  uint64_t AtStage = 0; ///< 1-based cluster stage index.
-};
-
 /// User-facing cluster knobs (panthera_sim: --executors, --net-bw,
 /// --net-lat-us). NumExecutors == 1 means "no cluster": the Runtime skips
 /// construction entirely and the engine runs its seed single-heap path.
@@ -70,22 +61,12 @@ struct ClusterOptions {
   double NetBandwidthGBps = 10.0;
   /// One-way latency charged per remote block fetch.
   double NetLatencyUs = 200.0;
-  /// Serialization + deserialization CPU per shuffle record crossing the
-  /// fabric (matches the engine's ShuffleRecordCpuNs scale).
-  double NetSerNsPerRecord = 15.0;
-  /// Delay scheduling (Zaharia et al., EuroSys'10): accept a non-preferred
-  /// executor only when the preferred one is more than this many tasks
-  /// ahead of the least-loaded one in the current stage.
-  uint32_t DelaySchedulingSlack = 1;
   /// Speculative execution (docs/cluster.md "degraded executors"): the
   /// driver compares each completed task's executor-scaled cost against
   /// the stage's running median of base task costs and launches a
-  /// speculative copy past the multiplier. Off = stragglers run to
+  /// speculative copy past 1.5x that median. Off = stragglers run to
   /// completion (checksums are identical either way).
   bool SpeculationEnabled = true;
-  /// A task is a straggler when its scaled cost exceeds this multiple of
-  /// the stage's running median task cost (spark.speculation.multiplier).
-  double SpeculationMultiplier = 1.5;
   /// Simulated cost multiplier applied to an executor degraded by the
   /// slow-executor fault site.
   double SlowExecutorFactor = 4.0;
@@ -104,8 +85,6 @@ struct ClusterOptions {
   /// overflowed onto executor disk still pay their deserialization CPU.
   /// Only meaningful when NumHosts packs several executors per host.
   bool ZeroCopyShuffle = true;
-  /// Scheduled mid-job decommission/join events, applied at stage opens.
-  std::vector<ElasticEvent> Elastic;
 };
 
 /// Full construction-time configuration; the Runtime fills the per-executor
@@ -155,10 +134,6 @@ struct ClusterStats {
   uint64_t FetchCorruptions = 0; ///< Fetches failing byte-verification.
   double FetchBackoffNs = 0.0;   ///< Backoff charged between attempts.
   uint64_t FetchEscalations = 0; ///< Retry budgets exhausted -> lineage.
-  uint64_t ExecutorsDecommissioned = 0;
-  uint64_t ExecutorsJoined = 0;
-  uint64_t BlocksMigrated = 0; ///< Blocks re-registered at decommission.
-  uint64_t BytesMigrated = 0;
 };
 
 /// One simulated executor: a private hybrid memory + heap. Shuffle blocks
@@ -239,18 +214,15 @@ public:
   }
 
   //===--- scheduler ------------------------------------------------------===
-  /// Opens a new stage: folds the finished stage's makespan, applies any
-  /// elastic events scheduled for the new stage index, and resets the
-  /// per-executor load/cost counters. Stages count 1-based; the count is
-  /// what --decommission=E@K / --join-at=K schedules against.
+  /// Opens a new stage: folds the finished stage's makespan and resets the
+  /// per-executor load/cost counters.
   void beginStage();
-  uint64_t stageIndex() const { return StageCounter; }
   /// Places one task. \p Preferred < 0 means no locality preference. The
   /// preferred executor wins (PROCESS_LOCAL) while it is alive, not
-  /// flagged as a straggler, and within DelaySchedulingSlack tasks of the
-  /// least-loaded executor; otherwise the least-loaded live unflagged
-  /// executor (lowest id on ties) runs it as ANY. Flagged executors are
-  /// used only when every live executor is flagged.
+  /// flagged as a straggler, and within one task (the delay-scheduling
+  /// slack) of the least-loaded executor; otherwise the least-loaded live
+  /// unflagged executor (lowest id on ties) runs it as ANY. Flagged
+  /// executors are used only when every live executor is flagged.
   unsigned placeTask(int Preferred);
   /// Records / looks up which executor caches a materialized partition.
   /// Locations die with their executor.
@@ -319,10 +291,10 @@ public:
   };
   /// Accounts one completed task with driver-measured base cost \p BaseNs
   /// placed on \p Exec. The executor-scaled cost joins the stage cost
-  /// model (the per-stage makespan below); when it exceeds
-  /// SpeculationMultiplier x the stage's running median of base costs,
-  /// the driver launches a speculative copy on the least-loaded other
-  /// executor and the first finisher (on the simulated cost model) wins.
+  /// model (the per-stage makespan below); when it exceeds 1.5x the
+  /// stage's running median of base costs, the driver launches a
+  /// speculative copy on the least-loaded other executor and the first
+  /// finisher (on the simulated cost model) wins.
   /// The loser's occupancy is charged to its executor as wasted time, and
   /// the straggler is flagged so later placements steer around it.
   SpeculationOutcome accountTask(unsigned Exec, double BaseNs);
@@ -332,18 +304,6 @@ public:
   /// "wall time" of the simulated cluster (the serial driver clock is the
   /// total work); a straggler stretches it, speculation recovers it.
   double makespanNs() const;
-
-  //===--- elastic membership ---------------------------------------------===
-  /// Gracefully removes \p Id mid-job: its active-shuffle blocks are
-  /// re-registered on the surviving executors over the fabric, its cached
-  /// partition locations drop (stale PROCESS_LOCAL hints fall back to
-  /// ANY), and it stops receiving tasks. Refuses to remove the last live
-  /// executor.
-  void decommissionExecutor(unsigned Id);
-  /// Adds a fresh executor (a new heap carved on a private clock, same
-  /// per-executor config); delay scheduling starts placing on it
-  /// immediately. Returns the new executor id.
-  unsigned addExecutor();
 
   /// Mirrors ClusterStats and per-executor clocks into \p M under
   /// cluster.* keys. Only called when a cluster exists, so --executors=1
@@ -357,11 +317,6 @@ private:
   const BlockInfo &block(uint32_t Map, uint32_t Reduce) const {
     return Blocks[static_cast<size_t>(Map) * ReduceCount + Reduce];
   }
-  /// Serializes \p Data into \p Exec's arena (disk fallback); shared by
-  /// registerMapOutput and decommission migration.
-  void storeBlock(BlockInfo &B, unsigned Exec, const void *Data);
-  /// Applies the elastic events scheduled for the just-opened stage.
-  void applyElasticEvents();
   double currentStageMaxNs() const;
 
   ClusterConfig Config;
@@ -375,7 +330,6 @@ private:
   std::vector<uint8_t> Flagged;    ///< Straggler-flagged executors.
   std::vector<double> StageBaseCosts; ///< Completed base costs, this stage.
   double FoldedMakespanNs = 0.0; ///< Makespan of all finished stages.
-  uint64_t StageCounter = 0;     ///< 1-based; see beginStage().
   /// (RddId, Part) -> executor, kept sorted for deterministic iteration.
   std::vector<std::pair<uint64_t, unsigned>> Locations;
   /// Active shuffle: MapCount x ReduceCount row-major block matrix.

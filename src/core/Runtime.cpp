@@ -20,11 +20,15 @@
 using namespace panthera;
 using namespace panthera::core;
 
+/// Off-heap native region, paper GB: the shuffle arena and the off-heap
+/// cache tier carve from it.
+static constexpr uint64_t NativePaperGB = 16;
+
 Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
   heap::HeapConfig HC = gc::makeHeapConfig(Config.Policy, Config.HeapPaperGB,
                                            Config.DramRatio);
   HC.NurseryFraction = Config.NurseryFraction;
-  HC.NativeBytes = static_cast<uint64_t>(Config.NativePaperGB) * PaperGB;
+  HC.NativeBytes = NativePaperGB * PaperGB;
   // The EagerPromotion/CardPadding overrides drive the §5.3 ablations and
   // only make sense for the Panthera family; the baselines always run
   // without these optimizations (stock Parallel Scavenge).
@@ -65,7 +69,6 @@ Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
       Hot = std::make_unique<memsim::HotnessTracker>(Lo, Hi, HotCfg);
       memsim::MigrationConfig MigCfg;
       MigCfg.HotSamplesPerPage = Config.MigrateHotThreshold;
-      MigCfg.MaxPagesPerStep = Config.MigrateMaxPagesPerStep;
       Migration =
           std::make_unique<memsim::MigrationEngine>(*Mem, *Hot, MigCfg);
       std::vector<memsim::CanonicalRange> Ranges;
@@ -75,17 +78,6 @@ Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
       Mem->setHotnessTracker(Hot.get());
       TheCollector->setMigrationEngine(Migration.get());
     }
-  }
-
-  // NG2C-style allocation-site pretenuring: consult the AccessMonitor's
-  // per-RDD call counts (the same profile that feeds dynamic migration) to
-  // pretenure smaller arrays of long-lived RDDs. Off by default so every
-  // existing configuration is byte-identical.
-  if (Config.PretenureMinCalls > 0) {
-    uint32_t Min = Config.PretenureMinCalls;
-    gc::AccessMonitor *Mon = &Monitor;
-    TheHeap->setPretenureOracle(
-        [Mon, Min](uint32_t RddId) { return Mon->callsInWindow(RddId) >= Min; });
   }
 
   rdd::EngineConfig EC = Config.Engine;
@@ -109,8 +101,8 @@ Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
     CC.ExecutorHeap =
         gc::makeHeapConfig(Config.Policy, PerExecGB, Config.DramRatio);
     CC.ExecutorHeap.NurseryFraction = Config.NurseryFraction;
-    uint64_t PerExecNative = heap::HeapConfig::alignPage(
-        static_cast<uint64_t>(Config.NativePaperGB) * PaperGB / N);
+    uint64_t PerExecNative =
+        heap::HeapConfig::alignPage(NativePaperGB * PaperGB / N);
     CC.ExecutorHeap.NativeBytes = std::max<uint64_t>(PerExecNative, PaperGB);
     CC.Technology = Config.Technology;
     CC.Cache = Config.Cache;
@@ -240,9 +232,6 @@ void Runtime::publishMetrics() {
     C("gc.incremental.satb_drained", R.Gc.IncSatbDrained);
     C("gc.incremental.objects_marked", R.Gc.IncObjectsMarked);
   }
-  // Allocation-site pretenuring totals (gated like the oracle itself).
-  if (Config.PretenureMinCalls > 0)
-    C("heap.arrays_oracle_pretenured", HS.ArraysOraclePretenured);
 
   // Hotness/migration totals (only under --policy=dynamic with sampling
   // on: every other configuration must export the exact seed key set).

@@ -68,8 +68,6 @@ struct RuntimeConfig {
   bool CardPadding = true;
   /// Debugging: verify the heap after every collection.
   bool VerifyHeap = false;
-  /// Off-heap native region, paper GB.
-  unsigned NativePaperGB = 16;
   /// Off-heap serialized cache tier budget (--offheap-mb), in paper MB,
   /// carved out of the native region by the first OFF_HEAP persist
   /// (docs/offheap.md). The default claims the whole default native
@@ -88,7 +86,7 @@ struct RuntimeConfig {
   /// Cluster simulation knobs (docs/cluster.md). NumExecutors == 1 (the
   /// default) constructs no cluster at all: the engine runs the seed
   /// single-heap path byte-identically. With N > 1, each executor carves
-  /// HeapPaperGB/N of heap and NativePaperGB/N of native region, tasks
+  /// HeapPaperGB/N of heap and 1/N of the native region, tasks
   /// place by locality, and remote shuffle fetches ride the fabric.
   cluster::ClusterOptions Cluster;
   /// Online hotness profiling + between-GC migration; consulted only when
@@ -100,8 +98,6 @@ struct RuntimeConfig {
   /// Samples-per-page density at which a region counts as migration-hot
   /// (--migrate-threshold).
   double MigrateHotThreshold = 2.0;
-  /// Page-swap budget per between-GC migration step (--migrate-max-pages).
-  uint64_t MigrateMaxPagesPerStep = 256;
   /// Incremental old-generation marking pause budget in microseconds
   /// (--max-pause-us, docs/gc_pause.md). 0 (the default) keeps the
   /// stop-the-world collector byte-identical, including the metrics-JSON
@@ -111,11 +107,6 @@ struct RuntimeConfig {
   /// smaller paces the cycle harder, finishing the trace sooner at the
   /// cost of more (still budget-bounded) pauses. Ignored at MaxPauseUs=0.
   uint32_t IncStepAllocs = 64;
-  /// NG2C-style allocation-site pretenuring (--pretenure-calls): a tagged
-  /// array below the large-array threshold is pretenured when its RDD's
-  /// AccessMonitor call count in the current window reaches this value. 0
-  /// (the default) disables the oracle entirely.
-  uint32_t PretenureMinCalls = 0;
 };
 
 /// Summary of one finished run.

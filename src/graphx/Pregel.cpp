@@ -103,45 +103,6 @@ Rdd panthera::graphx::connectedComponents(SparkContext &Ctx,
       /*Combine=*/[](double A, double B) { return A < B ? A : B; });
 }
 
-Rdd panthera::graphx::pageRank(SparkContext &Ctx, const Rdd &Adjacency,
-                               const PregelConfig &Config) {
-  (void)Ctx;
-  Rdd Ranks = Adjacency
-                  .mapValuesWithKey([](int64_t, double) { return 1.0; })
-                  .persistAs(Config.VertexVar,
-                             rdd::StorageLevel::MemoryOnly);
-  std::deque<Rdd> OldGenerations;
-  for (uint32_t Iter = 0; Iter != Config.MaxIterations; ++Iter) {
-    Rdd Carried = Adjacency.join(
-        Ranks, [](RddContext &C, ObjRef Left, double Rank) {
-          return C.makeTupleWithRef(C.key(Left), Rank, C.payload(Left));
-        });
-    Rdd Contribs =
-        Carried.flatMap([](RddContext &C, ObjRef T, const TupleSink &S) {
-          GcRoot Buf(C.heap(), C.payload(T));
-          if (Buf.get().isNull())
-            return;
-          uint32_t N = C.heap().arrayLength(Buf.get());
-          double Share = C.value(T) / N;
-          for (uint32_t I = 0; I != N; ++I)
-            S(C.makeTuple(
-                static_cast<int64_t>(C.bufferValue(Buf.get(), I)), Share));
-        });
-    Rdd Updated =
-        Contribs.reduceByKey([](double A, double B) { return A + B; })
-            .mapValues([](double Sum) { return 0.15 + 0.85 * Sum; })
-            .persistAs(Config.VertexVar, rdd::StorageLevel::MemoryOnly);
-    Updated.count();
-    OldGenerations.push_back(Ranks);
-    Ranks = Updated;
-    while (OldGenerations.size() > Config.UnpersistLag) {
-      OldGenerations.front().unpersist();
-      OldGenerations.pop_front();
-    }
-  }
-  return Ranks;
-}
-
 Rdd panthera::graphx::shortestPaths(SparkContext &Ctx, const Rdd &Adjacency,
                                     int64_t SourceVertex,
                                     const PregelConfig &Config) {

@@ -68,13 +68,6 @@ rdd::Rdd connectedComponents(rdd::SparkContext &Ctx,
 rdd::Rdd shortestPaths(rdd::SparkContext &Ctx, const rdd::Rdd &Adjacency,
                        int64_t SourceVertex, const PregelConfig &Config);
 
-/// PageRank over the Pregel layer (GraphX's built-in algorithm): ranks
-/// initialize to 1.0 and per superstep each vertex spreads rank/degree to
-/// its neighbors; incoming contributions combine by sum and damp with
-/// 0.15 + 0.85 * sum. Returns the final (vertex, rank) RDD.
-rdd::Rdd pageRank(rdd::SparkContext &Ctx, const rdd::Rdd &Adjacency,
-                  const PregelConfig &Config);
-
 /// Distance sentinel for unreachable vertices.
 constexpr double Unreachable = 1.0e18;
 

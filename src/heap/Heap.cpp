@@ -330,13 +330,8 @@ ObjRef Heap::allocRefArray(uint32_t Length) {
   uint32_t Size = checkedObjectSize(refArraySize(Length), "allocRefArray");
   MemTag Tag = MemTag::None;
   uint32_t RddId = 0;
-  // §4.2.1: a pending rdd_alloc tag claims the next large array. The
-  // NG2C-style oracle extends the claim to smaller tagged arrays whose
-  // allocation site (RDD id) the hotness profile says is long-lived.
-  bool BySite = Length < Config.Tuning.LargeArrayElems && Pretenure &&
-                PendingTag != MemTag::None && Pretenure(PendingRddId);
-  if (PendingTag != MemTag::None &&
-      (Length >= Config.Tuning.LargeArrayElems || BySite)) {
+  // §4.2.1: a pending rdd_alloc tag claims the next large array.
+  if (PendingTag != MemTag::None && Length >= Config.Tuning.LargeArrayElems) {
     Tag = PendingTag;
     RddId = PendingRddId;
     PendingTag = MemTag::None;
@@ -348,8 +343,6 @@ ObjRef Heap::allocRefArray(uint32_t Length) {
     }
     if (Addr) {
       ++Stats.ArraysPretenured;
-      if (BySite)
-        ++Stats.ArraysOraclePretenured;
       formatObject(Addr, Size, ObjectKind::RefArray, 0, Length, RddId, Tag);
       return ObjRef(Addr);
     }
@@ -370,10 +363,7 @@ ObjRef Heap::allocPrimArray(uint32_t Length, uint32_t ElemBytes) {
   // Serialized RDD caches are large primitive arrays; the rdd_alloc wait
   // state pretenures them exactly like reference arrays. No card padding
   // is needed: primitive arrays hold no references and are never scanned.
-  bool BySite = Length < Config.Tuning.LargeArrayElems && Pretenure &&
-                PendingTag != MemTag::None && Pretenure(PendingRddId);
-  if (PendingTag != MemTag::None &&
-      (Length >= Config.Tuning.LargeArrayElems || BySite)) {
+  if (PendingTag != MemTag::None && Length >= Config.Tuning.LargeArrayElems) {
     MemTag Tag = PendingTag;
     uint32_t RddId = PendingRddId;
     PendingTag = MemTag::None;
@@ -385,8 +375,6 @@ ObjRef Heap::allocPrimArray(uint32_t Length, uint32_t ElemBytes) {
     }
     if (Addr) {
       ++Stats.ArraysPretenured;
-      if (BySite)
-        ++Stats.ArraysOraclePretenured;
       formatObject(Addr, Size, ObjectKind::PrimArray, ElemBytes, Length,
                    RddId, Tag);
       return ObjRef(Addr);

@@ -68,9 +68,6 @@ struct HeapStats {
   uint64_t ObjectsAllocated = 0;
   uint64_t BytesAllocated = 0;
   uint64_t ArraysPretenured = 0;
-  uint64_t ArraysOraclePretenured = 0; ///< Pretenured below the size
-                                       ///< threshold by the NG2C-style
-                                       ///< allocation-site oracle.
   uint64_t PretenureDramFallbacks = 0; ///< DRAM-tagged arrays that landed
                                        ///< in NVM because DRAM was full.
   uint64_t RefStores = 0;
@@ -227,13 +224,6 @@ public:
     PendingRddId = RddId;
   }
   MemTag pendingArrayTag() const { return PendingTag; }
-
-  /// NG2C-style allocation-site pretenuring oracle: when installed, a
-  /// tagged array below the large-array threshold is still pretenured if
-  /// the oracle says its RDD's allocation site is long-lived (fed by the
-  /// AccessMonitor hotness profile). Null disables the heuristic.
-  using PretenureOracle = std::function<bool(uint32_t RddId)>;
-  void setPretenureOracle(PretenureOracle Fn) { Pretenure = std::move(Fn); }
 
   //===--------------------------------------------------------------------===
   // Mutator field access (accounted + write barrier)
@@ -499,7 +489,6 @@ private:
   bool SatbActive = false;
   bool AllocBlack = false;
   std::vector<uint64_t> Satb;
-  PretenureOracle Pretenure;
 
   std::vector<ObjRef> RootStack;
   std::vector<ObjRef> PersistentRoots;

@@ -16,6 +16,9 @@ using namespace panthera::memsim;
 
 namespace {
 
+/// Page-swap budget per step (bounds the pause added to a minor GC).
+constexpr uint64_t MaxPagesPerStep = 256;
+
 /// Collects up to \p Budget pages of [R.Start, R.End) (clipped to the
 /// eligible ranges) currently backed by \p OnDevice.
 void collectPages(const AddressMap &Map,
@@ -60,9 +63,9 @@ MigrationStep MigrationEngine::step() {
   for (size_t Idx : Order) {
     if (Regs[Idx].samplesPerPage() < Config.HotSamplesPerPage)
       break;
-    collectPages(Mem.map(), Eligible, Regs[Idx], Device::NVM,
-                 Config.MaxPagesPerStep, HotPages);
-    if (HotPages.size() >= Config.MaxPagesPerStep)
+    collectPages(Mem.map(), Eligible, Regs[Idx], Device::NVM, MaxPagesPerStep,
+                 HotPages);
+    if (HotPages.size() >= MaxPagesPerStep)
       break;
   }
   if (HotPages.empty())

@@ -34,13 +34,11 @@ namespace memsim {
 
 class HybridMemory;
 
-/// Migration policy knobs (--migrate-threshold / --migrate-max-pages).
+/// Migration policy knobs (--migrate-threshold).
 struct MigrationConfig {
   /// A region is migration-hot once it collects at least this many samples
   /// per page in the current window.
   double HotSamplesPerPage = 2.0;
-  /// Page-swap budget per step (bounds the pause added to a minor GC).
-  uint64_t MaxPagesPerStep = 256;
 };
 
 /// One address range the engine may remap, with its canonical (static

@@ -404,9 +404,9 @@ private:
   /// Same capped exponential schedule for a failed transient block fetch,
   /// with a `backoff` trace span and cluster.fetch_retry.* accounting.
   void chargeFetchBackoff(uint32_t Attempt, uint32_t Map, uint32_t Reduce);
-  /// Cluster mode: opens a scheduler stage (elastic events apply, loads
-  /// reset) and draws the slow-executor fault site once per live healthy
-  /// executor -- a fire degrades that executor for the rest of the run.
+  /// Cluster mode: opens a scheduler stage (loads reset) and draws the
+  /// slow-executor fault site once per live healthy executor -- a fire
+  /// degrades that executor for the rest of the run.
   void clusterBeginStage();
   /// Re-materializes every cache recorded in LostCaches (injection
   /// suppressed while recovering).

@@ -384,10 +384,10 @@ void SparkContext::chargeFetchBackoff(uint32_t Attempt, uint32_t Map,
 
 void SparkContext::clusterBeginStage() {
   // Stage boundary on the cluster sim: fold the previous stage into the
-  // makespan, apply any scheduled elastic events, then give the slow-
-  // executor fault site one draw per live, still-healthy executor. The
-  // draw order is the executor index order, so the schedule is a pure
-  // function of the fault seed and the stage sequence.
+  // makespan, then give the slow-executor fault site one draw per live,
+  // still-healthy executor. The draw order is the executor index order,
+  // so the schedule is a pure function of the fault seed and the stage
+  // sequence.
   Clstr->beginStage();
   if (!Faults)
     return;

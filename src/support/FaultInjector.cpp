@@ -141,10 +141,3 @@ bool FaultInjector::shouldFail(FaultSite Site) {
                                           std::memory_order_relaxed));
   return true;
 }
-
-uint64_t FaultInjector::totalFired() const {
-  uint64_t Total = 0;
-  for (const SiteState &S : Counters)
-    Total += S.Fired.load(std::memory_order_relaxed);
-  return Total;
-}

@@ -138,7 +138,6 @@ public:
     return Counters[static_cast<size_t>(S)].Fired.load(
         std::memory_order_relaxed);
   }
-  uint64_t totalFired() const;
 
   bool suppressed() const {
     return SuppressDepth.load(std::memory_order_relaxed) > 0;

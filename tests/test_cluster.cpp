@@ -229,7 +229,7 @@ TEST(ClusterSim, KillExecutorDropsLocationsAndBlocks) {
 }
 
 //===----------------------------------------------------------------------===
-// Degraded executors: speculation, transient fetches, elastic schedule
+// Degraded executors: speculation, transient fetches
 //===----------------------------------------------------------------------===
 
 TEST(ClusterDegraded, SpeculationOnOffChecksumInvariant) {
@@ -258,37 +258,13 @@ TEST(ClusterDegraded, SpeculationOnOffChecksumInvariant) {
   }
 }
 
-TEST(ClusterDegraded, ChecksumInvariantUnderElasticSchedule) {
-  // Mid-job decommission + join: blocks migrate, the stage makespan
-  // refolds, and the answer does not move -- with speculation on or off.
-  RunOut Clean = runPipeline(clusterConfig(3));
-  core::RuntimeConfig Elastic = clusterConfig(3);
-  Elastic.Cluster.Elastic.push_back({/*Join=*/false, /*Exec=*/1,
-                                     /*AtStage=*/2});
-  Elastic.Cluster.Elastic.push_back({/*Join=*/true, /*Exec=*/0,
-                                     /*AtStage=*/3});
-  RunOut A = runPipeline(Elastic);
-  core::RuntimeConfig NoSpec = Elastic;
-  NoSpec.Cluster.SpeculationEnabled = false;
-  RunOut B = runPipeline(NoSpec);
-  EXPECT_DOUBLE_EQ(A.Checksum, Clean.Checksum);
-  EXPECT_DOUBLE_EQ(B.Checksum, Clean.Checksum);
-  EXPECT_EQ(A.Cluster.ExecutorsDecommissioned, 1u);
-  EXPECT_EQ(A.Cluster.ExecutorsJoined, 1u);
-  EXPECT_NE(A.Trace.find("decommission"), std::string::npos);
-  EXPECT_NE(A.Trace.find("executor joined"), std::string::npos);
-  EXPECT_NE(A.Metrics.find("\"cluster.elastic.joined\""),
-            std::string::npos);
-}
-
 TEST(ClusterDegraded, SpeculationInvariantUnderCombinedFaultSchedule) {
-  // Speculation on vs off under a combined schedule -- a straggler, a
-  // transient-fetch storm, and an elastic event at once.
+  // Speculation on vs off under a combined schedule -- a straggler and a
+  // transient-fetch storm at once.
   core::RuntimeConfig On = clusterConfig(4);
   On.Faults.site(FaultSite::SlowExecutor).FireOnNth = 2;
   On.Faults.site(FaultSite::FetchTransient).Probability = 0.1;
   On.Faults.Seed = 42;
-  On.Cluster.Elastic.push_back({/*Join=*/true, /*Exec=*/0, /*AtStage=*/2});
   core::RuntimeConfig Off = On;
   Off.Cluster.SpeculationEnabled = false;
   RunOut Clean = runPipeline(clusterConfig(4));
@@ -369,17 +345,17 @@ TEST(ClusterDelaySched, SaturatedPreferredExpiresSlackToAny) {
   EXPECT_EQ(CL.placeTask(0), 0u);
 }
 
-TEST(ClusterDelaySched, StaleHintAfterDecommissionGoesAny) {
-  // A cached partition recorded on an executor that later decommissions
-  // leaves a stale PROCESS_LOCAL hint; placement must shrug it off as ANY
-  // and the location map must forget the machine.
+TEST(ClusterDelaySched, StaleHintAfterExecutorLossGoesAny) {
+  // A cached partition recorded on an executor that is later lost leaves
+  // a stale PROCESS_LOCAL hint; placement must shrug it off as ANY and the
+  // location map must forget the machine.
   memsim::HybridMemory DriverMem(64ull << 20, memsim::MemoryTechnology{},
                                  memsim::CacheConfig{});
   cluster::Cluster CL(unitClusterConfig(3), DriverMem, nullptr);
   CL.recordPartitionLocation(/*RddId=*/5, /*Part=*/0, /*Exec=*/1);
   ASSERT_EQ(CL.partitionLocation(5, 0), 1);
-  CL.decommissionExecutor(1);
-  EXPECT_EQ(CL.stats().ExecutorsDecommissioned, 1u);
+  CL.killExecutor(1);
+  EXPECT_EQ(CL.stats().ExecutorsLost, 1u);
   EXPECT_EQ(CL.partitionLocation(5, 0), -1);
   EXPECT_EQ(CL.numAlive(), 2u);
   // The stale hint (still cached by a caller) resolves to a live

@@ -133,11 +133,27 @@ TEST(GcFuzz, OffHeapDigestBitIdenticalAcrossWorkersAndExecutors) {
   EXPECT_TRUE(C.Ok) << C.Problem;
 }
 
+// Frozen tuple for the incremental collector (docs/gc_pause.md): explicit
+// mark steps interleave with barrier-visible mutation, so SATB buffer
+// drains, budgeted mark steps and the finishing major all run against the
+// shadow oracle. The digest pins the whole collection history; a mark
+// step that loses an SATB-logged referent diverges here first.
+TEST(GcFuzzRegression, IncrementalMarkingKeepsSatbReferents) {
+  FuzzResult R = run(1, 200, FuzzConfigKind::Incremental);
+  ASSERT_TRUE(R.Ok) << R.Problem;
+  EXPECT_EQ(R.Digest, 0x0b9c373d6be206b9ull);
+  EXPECT_EQ(R.MinorGcs, 48u);
+  EXPECT_EQ(R.MajorGcs, 6u);
+  EXPECT_EQ(R.OomErrorsThrown, 2u);
+  EXPECT_EQ(R.LiveObjectsAtEnd, 61u);
+}
+
 // A small always-on sweep across every heap shape the harness tortures.
 TEST(GcFuzz, SweepAllConfigsClean) {
   for (uint64_t Seed = 100; Seed != 105; ++Seed)
     for (FuzzConfigKind K : {FuzzConfigKind::Dram, FuzzConfigKind::Split,
                              FuzzConfigKind::Pressure,
+                             FuzzConfigKind::Incremental,
                              FuzzConfigKind::OffHeap}) {
       FuzzResult R = run(Seed, 256, K);
       EXPECT_TRUE(R.Ok)

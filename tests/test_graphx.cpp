@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <queue>
 #include <set>
@@ -177,46 +176,6 @@ TEST_F(GraphxTest, DirectedAdjacencyOnlyHasSourceVertices) {
     for (const SourceRecord &E : Part)
       Sources.insert(E.Key);
   EXPECT_EQ(Adj.count(), static_cast<int64_t>(Sources.size()));
-}
-
-
-TEST_F(GraphxTest, PageRankConvergesToPositiveRanks) {
-  Rdd Adj = adjacency();
-  graphx::PregelConfig Config;
-  Config.MaxIterations = 10;
-  Rdd Ranks = graphx::pageRank(RT->ctx(), Adj, Config);
-  int64_t Vertices = Adj.count();
-  double Sum = 0, MaxRank = 0;
-  int64_t N = 0;
-  for (const SourceRecord &Rec : Ranks.collect()) {
-    EXPECT_GT(Rec.Val, 0.0);
-    Sum += Rec.Val;
-    MaxRank = std::max(MaxRank, Rec.Val);
-    ++N;
-  }
-  EXPECT_EQ(N, Vertices);
-  // With damping 0.85 and dangling mass, total rank stays in the same
-  // ballpark as the vertex count but below it.
-  EXPECT_GT(Sum, 0.2 * Vertices);
-  EXPECT_LT(Sum, 1.2 * Vertices);
-  // The Zipf hub (vertex 0 has by far the most in-edges after
-  // symmetrization) must out-rank the average vertex.
-  double V0 = 0;
-  for (const SourceRecord &Rec : Ranks.collect())
-    if (Rec.Key == 0)
-      V0 = Rec.Val;
-  EXPECT_GT(V0, 3.0 * Sum / Vertices);
-}
-
-TEST_F(GraphxTest, PageRankIsDeterministic) {
-  Rdd Adj = adjacency();
-  graphx::PregelConfig Config;
-  Config.MaxIterations = 4;
-  double A = graphx::pageRank(RT->ctx(), Adj, Config)
-                 .reduce([](double X, double Y) { return X + Y; });
-  double B = graphx::pageRank(RT->ctx(), Adj, Config)
-                 .reduce([](double X, double Y) { return X + Y; });
-  EXPECT_DOUBLE_EQ(A, B);
 }
 
 } // namespace

@@ -135,17 +135,11 @@ TEST(StorageLevel, HeapLevelClassification) {
 
 TEST(SparkOps, Classification) {
   using namespace panthera::analysis;
-  EXPECT_TRUE(isTransformation("map"));
-  EXPECT_TRUE(isTransformation("reduceByKey"));
-  EXPECT_FALSE(isTransformation("count"));
   EXPECT_TRUE(isAction("count"));
   EXPECT_TRUE(isAction("collectAsMap"));
   EXPECT_FALSE(isAction("join"));
   EXPECT_TRUE(isPersist("persist"));
   EXPECT_TRUE(isUnpersist("unpersist"));
-  EXPECT_TRUE(isMemoryStorageLevel("MEMORY_AND_DISK_SER"));
-  EXPECT_FALSE(isMemoryStorageLevel("DISK_ONLY"));
-  EXPECT_FALSE(isMemoryStorageLevel("OFF_HEAP"));
 }
 
 //===----------------------------------------------------------------------===

@@ -125,7 +125,7 @@ echo "ci: dynamic policy migrates and sample=0 matches static byte-for-byte"
 # snapshot is BENCH_pause.json.
 echo "=== incremental marking smoke ==="
 ./build/tools/panthera_sim --workload=PR --scale=0.1 \
-  --max-pause-us=0 --pretenure-calls=0 --metrics-json="${obs}/i0.json" \
+  --max-pause-us=0 --metrics-json="${obs}/i0.json" \
   --trace-json="${obs}/i0.trace" >/dev/null
 cmp "${obs}/m1.json" "${obs}/i0.json"
 cmp "${obs}/t1.json" "${obs}/i0.trace"
@@ -179,11 +179,11 @@ echo "=== in-place compaction cell (asan/ubsan) ==="
 grep -o 'result checksum: [0-9.]*' "${obs}/compact.txt"
 echo "ci: compaction copy routes clean under sanitizers"
 
-# The straggler sweep under UBSan: the speculation/makespan arithmetic and
-# the elastic block-migration paths run sanitized end to end, and the
-# sweep FATALs by itself if the 16x-straggler contract breaks. Scale 0.5
-# is the floor where the straggler dominates fixed costs enough for the
-# speculation-off ratio to clear 10x.
+# The straggler sweep under UBSan: the speculation/makespan arithmetic
+# runs sanitized end to end, and the sweep FATALs by itself if the
+# 16x-straggler contract breaks. Scale 0.5 is the floor where the
+# straggler dominates fixed costs enough for the speculation-off ratio to
+# clear 10x.
 echo "=== micro_cluster straggler sweep (asan/ubsan) ==="
 (cd "${obs}" && "${OLDPWD}/build-san/bench/micro_cluster" --scale=0.5)
 echo "ci: straggler sweep clean under sanitizers"

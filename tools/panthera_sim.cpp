@@ -12,9 +12,8 @@
 ///   panthera_sim [--workload=PR|KM|LR|TC|CC|SSSP|BC|SW]
 ///                [--policy=panthera|dynamic|unmanaged|dram|kn|kw]
 ///                [--hotness-sample=N] [--migrate-threshold=F]
-///                [--migrate-max-pages=N]
-///                [--max-pause-us=N] [--pretenure-calls=N]
-///                [--inc-step-allocs=N] [--offheap-mb=N]
+///                [--max-pause-us=N] [--inc-step-allocs=N]
+///                [--offheap-mb=N]
 ///                [--heap=64] [--ratio=0.333] [--scale=1.0]
 ///                [--nursery=0.1667] [--no-eager] [--no-padding]
 ///                [--gclog] [--verify] [--list] [--help]
@@ -22,9 +21,9 @@
 ///                [--fault=SITE:p=0.01] [--fault=SITE:nth=5]
 ///                [--fault-seed=N] [--task-retries=4] [--verify-recovery]
 ///                [--executors=N] [--net-bw=GBps] [--net-lat-us=US]
-///                [--no-speculation] [--speculation-mult=F]
-///                [--slow-factor=F] [--fetch-retries=N]
-///                [--decommission=E@K] [--join-at=K]
+///                [--no-speculation] [--slow-factor=F]
+///                [--fetch-retries=N] [--hosts=N]
+///                [--zero-copy-shuffle=on|off] [--epoch-ns=NS]
 ///
 /// SITE is one of task, cache, alloc, shuffle, executor, slow-executor,
 /// fetch. Fault runs exit 2 if the workload still fails after the staged
@@ -71,23 +70,6 @@ static bool parseFaultFlag(const char *Spec, FaultPlan &Plan) {
     std::fprintf(stderr, "bad --fault: %s\n", E.what());
     return false;
   }
-}
-
-/// Parses "EXEC@STAGE" for --decommission (an executor index and the
-/// 1-based cluster stage at whose start it leaves).
-static bool parseDecommission(const char *Spec, cluster::ElasticEvent &Ev) {
-  const char *At = std::strchr(Spec, '@');
-  if (!At)
-    return false;
-  uint64_t Exec = 0, Stage = 0;
-  if (!support::parseUnsigned(std::string(Spec, At - Spec).c_str(), 0, 255,
-                              Exec) ||
-      !support::parseUnsigned(At + 1, 1, 1u << 20, Stage))
-    return false;
-  Ev.Join = false;
-  Ev.Exec = static_cast<unsigned>(Exec);
-  Ev.AtStage = Stage;
-  return true;
 }
 
 int main(int Argc, char **Argv) {
@@ -172,11 +154,7 @@ int main(int Argc, char **Argv) {
       Config.Cluster.NetLatencyUs = F;
     } else if (std::strcmp(A, "--no-speculation") == 0)
       Config.Cluster.SpeculationEnabled = false;
-    else if (const char *V = Val("--speculation-mult=")) {
-      if (!support::parseF64(V, 1.0, 1e6, F))
-        return BadFlag(A, "a straggler threshold multiplier >= 1");
-      Config.Cluster.SpeculationMultiplier = F;
-    } else if (const char *V = Val("--slow-factor=")) {
+    else if (const char *V = Val("--slow-factor=")) {
       if (!support::parseF64(V, 1.0, 1e6, F))
         return BadFlag(A, "a slowdown factor >= 1");
       Config.Cluster.SlowExecutorFactor = F;
@@ -184,18 +162,6 @@ int main(int Argc, char **Argv) {
       if (!support::parseUnsigned(V, 1, 1u << 20, U))
         return BadFlag(A, "a fetch attempt budget >= 1");
       Config.Cluster.FetchRetryLimit = static_cast<uint32_t>(U);
-    } else if (const char *V = Val("--decommission=")) {
-      cluster::ElasticEvent Ev;
-      if (!parseDecommission(V, Ev))
-        return BadFlag(A, "EXEC@STAGE, e.g. --decommission=2@3");
-      Config.Cluster.Elastic.push_back(Ev);
-    } else if (const char *V = Val("--join-at=")) {
-      if (!support::parseUnsigned(V, 1, 1u << 20, U))
-        return BadFlag(A, "a 1-based cluster stage index >= 1");
-      cluster::ElasticEvent Ev;
-      Ev.Join = true;
-      Ev.AtStage = U;
-      Config.Cluster.Elastic.push_back(Ev);
     } else if (const char *V = Val("--hosts=")) {
       if (!support::parseUnsigned(V, 0, 256, U))
         return BadFlag(A, "a host count in [0, 256] (0 = one per executor)");
@@ -221,18 +187,10 @@ int main(int Argc, char **Argv) {
       if (!support::parseF64(V, 1e-3, 1e9, F))
         return BadFlag(A, "a samples-per-page density > 0");
       Config.MigrateHotThreshold = F;
-    } else if (const char *V = Val("--migrate-max-pages=")) {
-      if (!support::parseUnsigned(V, 1, 1u << 20, U))
-        return BadFlag(A, "a page budget >= 1");
-      Config.MigrateMaxPagesPerStep = U;
     } else if (const char *V = Val("--max-pause-us=")) {
       if (!support::parseUnsigned(V, 0, 1u << 30, U))
         return BadFlag(A, "a pause budget in microseconds >= 0");
       Config.MaxPauseUs = static_cast<uint32_t>(U);
-    } else if (const char *V = Val("--pretenure-calls=")) {
-      if (!support::parseUnsigned(V, 0, 1u << 30, U))
-        return BadFlag(A, "a call count >= 0 (0 disables the oracle)");
-      Config.PretenureMinCalls = static_cast<uint32_t>(U);
     } else if (const char *V = Val("--inc-step-allocs=")) {
       if (!support::parseUnsigned(V, 1, 1u << 30, U))
         return BadFlag(A, "an allocation count >= 1");
@@ -264,15 +222,10 @@ int main(int Argc, char **Argv) {
           "                     --policy=panthera)\n"
           "  --migrate-threshold=F  samples-per-page density at which a\n"
           "                     region migrates to DRAM (default 2.0)\n"
-          "  --migrate-max-pages=N  page-swap budget per migration step\n"
-          "                     (default 256)\n"
           "  --max-pause-us=N   incremental old-gen marking with an N us\n"
           "                     pause budget per mark step (default 0 =\n"
           "                     stop-the-world, byte-identical to builds\n"
           "                     without the feature; docs/gc_pause.md)\n"
-          "  --pretenure-calls=N  pretenure tagged arrays whose RDD has\n"
-          "                     seen >= N monitored calls in the current\n"
-          "                     window (default 0 = oracle off)\n"
           "  --inc-step-allocs=N  allocations between incremental mark\n"
           "                     steps (default 64; ignored at\n"
           "                     --max-pause-us=0)\n"
@@ -311,16 +264,10 @@ int main(int Argc, char **Argv) {
           "  --net-lat-us=US    fabric per-transfer latency (default 200)\n"
           "  --no-speculation   disable speculative execution of straggler\n"
           "                     tasks (docs/robustness.md)\n"
-          "  --speculation-mult=F  straggler threshold: speculate when a\n"
-          "                     task runs F x the stage median (default 1.5)\n"
           "  --slow-factor=F    slowdown applied by a slow-executor fault\n"
           "                     fire (default 4)\n"
           "  --fetch-retries=N  transient-fetch attempt budget before the\n"
           "                     block is declared lost (default 3)\n"
-          "  --decommission=E@K drain executor E at the start of cluster\n"
-          "                     stage K (1-based); repeatable\n"
-          "  --join-at=K        add a fresh executor at the start of\n"
-          "                     cluster stage K; repeatable\n"
           "  --hosts=N          pack the executors onto N physical hosts\n"
           "                     (executor E lives on host E %% N); 0\n"
           "                     (default) gives every executor its own\n"
@@ -515,13 +462,6 @@ int main(int Argc, char **Argv) {
                   static_cast<unsigned long long>(CS.FetchRetries),
                   CS.FetchBackoffNs / 1e6,
                   static_cast<unsigned long long>(CS.FetchEscalations));
-    if (CS.ExecutorsDecommissioned != 0 || CS.ExecutorsJoined != 0)
-      std::printf("         elastic: %llu decommissioned (%llu blocks / "
-                  "%llu KB migrated), %llu joined\n",
-                  static_cast<unsigned long long>(CS.ExecutorsDecommissioned),
-                  static_cast<unsigned long long>(CS.BlocksMigrated),
-                  static_cast<unsigned long long>(CS.BytesMigrated / 1024),
-                  static_cast<unsigned long long>(CS.ExecutorsJoined));
   }
 
   if (Config.Faults.enabled()) {
